@@ -813,16 +813,13 @@ def _run_cache(argv: List[str]) -> int:
     return EXIT_OK
 
 
-#: Cheap experiments the ``repro chaos --quick`` smoke runs (CI budget).
-_CHAOS_QUICK = ("fig1", "table1", "table2", "fig6", "survey")
-
-
 def _run_chaos(argv: List[str]) -> int:
     """Run experiments under a fault plan and require golden-clean results."""
     import shutil
     import tempfile
 
     from repro.faults import FaultPlan, default_chaos_plan
+    from repro.gates import QUICK_EXPERIMENTS, GateRun
     from repro.qa.goldens import GOLDEN_CONFIG, default_golden_dir, verify_payload
     from repro.runner import RetryPolicy, run_experiments
 
@@ -856,7 +853,7 @@ def _run_chaos(argv: List[str]) -> int:
                         help="supervised worker processes (default 2)")
     parser.add_argument("--quick", action="store_true",
                         help=f"run only the cheap subset "
-                             f"({', '.join(_CHAOS_QUICK)}) — the CI smoke")
+                             f"({', '.join(QUICK_EXPERIMENTS)}) — the CI smoke")
     parser.add_argument("--timeout", type=float, default=120.0, metavar="SECONDS",
                         help="per-experiment deadline (default 120); hung "
                              "workers are killed and resubmitted")
@@ -877,7 +874,7 @@ def _run_chaos(argv: List[str]) -> int:
     args = parser.parse_args(argv)
 
     names = list(args.experiment) if args.experiment else (
-        list(_CHAOS_QUICK) if args.quick else list(SPECS)
+        list(QUICK_EXPERIMENTS) if args.quick else list(SPECS)
     )
     unknown = [name for name in names if name not in SPECS]
     if unknown:
@@ -885,6 +882,13 @@ def _run_chaos(argv: List[str]) -> int:
         return EXIT_USAGE
     config = WorldConfig.from_args(args, base=GOLDEN_CONFIG)
     golden_dir = Path(args.golden_dir if args.golden_dir else default_golden_dir())
+    # A missing golden would only surface after every experiment ran, as
+    # drift; name the directory up front instead.
+    no_golden = [name for name in names if not (golden_dir / f"{name}.json").is_file()]
+    if no_golden:
+        print(f"no golden for {', '.join(no_golden)} in {golden_dir}; "
+              "pass --golden-dir", file=sys.stderr)
+        return EXIT_USAGE
     if args.plan is not None:
         try:
             plan = FaultPlan.from_json(Path(args.plan).read_text())
@@ -967,20 +971,17 @@ def _run_chaos(argv: List[str]) -> int:
     if manifest_file is not None:
         print(f"[manifest: {manifest_file}]")
 
-    all_ok = all(outcome.ok for outcome in manifest.outcomes)
-    if not all_ok:
-        print("\nchaos: FAIL (experiment failures)", file=sys.stderr)
-        return EXIT_FAILURE
-    if not golden_ok:
-        print("\nchaos: FAIL (results drifted from goldens under faults)",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    if total_faults < 1:
-        print("\nchaos: FAIL (no fault fired — the plan exercised nothing)",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    print("\nchaos: every experiment recovered and stayed golden-clean")
-    return EXIT_OK
+    run = GateRun("chaos")
+    completed = sum(1 for outcome in manifest.outcomes if outcome.ok)
+    run.check("experiments_recovered", completed == len(manifest.outcomes),
+              completed, len(manifest.outcomes),
+              "every experiment completed under faults")
+    run.check("golden_clean", golden_ok,
+              detail="every result identical to its golden under faults")
+    run.check("faults_fired", total_faults >= 1, total_faults, 1,
+              "the plan exercised at least one fault")
+    print("\n" + run.render())
+    return EXIT_OK if run.ok else EXIT_FAILURE
 
 
 def _run_serve(argv: List[str]) -> int:
@@ -1048,10 +1049,6 @@ def _run_serve(argv: List[str]) -> int:
                              "a deterministic chaos request mix, assert "
                              "availability / golden bodies / shed headers / "
                              "breaker cycle / clean drain, then exit")
-    parser.add_argument("--clients", type=int, default=3, metavar="N",
-                        help="selftest: concurrent client threads (default 3)")
-    parser.add_argument("--min-requests", type=int, default=400, metavar="N",
-                        help="selftest: minimum chaos-mix volume (default 400)")
     parser.add_argument("--chaos-seed", type=int, default=1337, metavar="N",
                         help="selftest: fault-plan seed (default 1337)")
     args = parser.parse_args(argv)
@@ -1099,9 +1096,10 @@ def _run_serve(argv: List[str]) -> int:
     access_log = AccessLog(args.access_log) if args.access_log else AccessLog()
 
     if args.selftest:
-        from repro.serve.selftest import DEFAULT_SELFTEST_NAMES, run_selftest
+        from repro.gates import QUICK_EXPERIMENTS
+        from repro.serve.selftest import run_selftest
 
-        names = args.experiment or list(DEFAULT_SELFTEST_NAMES)
+        names = args.experiment or list(QUICK_EXPERIMENTS)
         print(f"[selftest: {len(names)} experiment(s); world: "
               f"{config.n_sites} sites, {config.n_days} days, seed "
               f"{config.seed}; cache {cache_dir}]\n")
@@ -1111,12 +1109,10 @@ def _run_serve(argv: List[str]) -> int:
             names=names,
             plan=plan,
             seed=args.chaos_seed,
-            clients=max(1, args.clients),
             settings=settings,
             golden_dir=golden_dir,
             access_log=access_log,
             jobs=max(1, args.jobs),
-            min_requests=max(1, args.min_requests),
         )
         print(report.render())
         if args.access_log:
@@ -1389,26 +1385,15 @@ def _run_netproxy(argv: List[str]) -> int:
     return EXIT_OK
 
 
-def _run_chaos_net(argv: List[str]) -> int:
-    """The transport-resilience acceptance gate."""
-    from repro.loadgen.netchaos import ChaosNetOptions, run_chaos_net
-
-    parser = argparse.ArgumentParser(
-        prog="repro chaos-net",
-        description=(
-            "Transport-resilience gate: drive a scripted load sequence "
-            "through the deterministic chaos proxy into a chaos-armed "
-            "serve child. Every armed net.* site must fire, availability "
-            "must hold >= 99% with zero golden drift, and the "
-            "fault-sequence digest must replay bit-for-bit."
-        ),
-    )
+def _run_fault_gate(gate: Callable, prog: str, description: str,
+                    argv: List[str]) -> int:
+    """``repro chaos-net`` / ``repro chaos-data``: one gate run, rendered."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument("--seed", type=int, default=7, metavar="N",
-                        help="net fault-plan seed (default 7)")
+                        help="fault-plan seed (default 7)")
     parser.add_argument("--quick", action="store_true",
-                        help="short script (the CI smoke)")
-    parser.add_argument("--requests", type=int, default=None, metavar="N",
-                        help="override the script length")
+                        help="CI-smoke sizing: short script (and, for "
+                             "chaos-data, a small proof world)")
     parser.add_argument("--jobs", type=int, default=2, metavar="N",
                         help="workers for populating missing results "
                              "(default 2)")
@@ -1418,72 +1403,42 @@ def _run_chaos_net(argv: List[str]) -> int:
     parser.add_argument("--manifest", default=None, metavar="PATH",
                         help="write the fault-accounting manifest JSON here")
     args = parser.parse_args(argv)
-
-    options = ChaosNetOptions(
-        seed=args.seed,
-        quick=args.quick,
-        requests=args.requests,
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        manifest_path=args.manifest,
-    )
     try:
-        result = run_chaos_net(options)
-    except (RuntimeError, OSError) as error:
-        print(f"chaos-net failed: {error}", file=sys.stderr)
+        run = gate(seed=args.seed, quick=args.quick, cache_dir=args.cache_dir,
+                   jobs=args.jobs, manifest_path=args.manifest)
+    except (RuntimeError, OSError, ValueError) as error:
+        print(f"{prog} failed: {error}", file=sys.stderr)
         return EXIT_FAILURE
-    print(result.render())
-    return EXIT_OK if result.ok else EXIT_FAILURE
+    print(run.render())
+    return EXIT_OK if run.ok else EXIT_FAILURE
+
+
+def _run_chaos_net(argv: List[str]) -> int:
+    """The transport-resilience acceptance gate."""
+    from repro.loadgen.netchaos import run_chaos_net
+
+    return _run_fault_gate(run_chaos_net, "repro chaos-net", (
+        "Transport-resilience gate: drive a scripted load sequence "
+        "through the deterministic chaos proxy into a chaos-armed "
+        "serve child. Every armed net.* site must fire, availability "
+        "must hold >= 99% with zero golden drift, and the "
+        "fault-sequence digest must replay bit-for-bit."
+    ), argv)
 
 
 def _run_chaos_data(argv: List[str]) -> int:
     """The degraded-provider ingestion acceptance gate."""
-    from repro.loadgen.datachaos import ChaosDataOptions, run_chaos_data
+    from repro.loadgen.datachaos import run_chaos_data
 
-    parser = argparse.ArgumentParser(
-        prog="repro chaos-data",
-        description=(
-            "Degraded-data gate: prove the gap-tolerant rolling "
-            "aggregation bit-identical to a batch recompute under an "
-            "armed data-fault plan, then drive a scripted client mix "
-            "against a data-chaos serve child. Every armed data.* site "
-            "must fire, every degraded day must be marked in "
-            "data_health, availability must hold >= 99%, and both "
-            "fault-sequence digests must replay bit-for-bit."
-        ),
-    )
-    parser.add_argument("--seed", type=int, default=7, metavar="N",
-                        help="data fault-plan seed (default 7)")
-    parser.add_argument("--quick", action="store_true",
-                        help="small proof world and short script "
-                             "(the CI smoke)")
-    parser.add_argument("--requests", type=int, default=None, metavar="N",
-                        help="override the script length")
-    parser.add_argument("--jobs", type=int, default=2, metavar="N",
-                        help="workers for populating missing results "
-                             "(default 2)")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="artifact store root (default: the shared "
-                             "cache — results are reused, never mutated)")
-    parser.add_argument("--manifest", default=None, metavar="PATH",
-                        help="write the fault-accounting manifest JSON here")
-    args = parser.parse_args(argv)
-
-    options = ChaosDataOptions(
-        seed=args.seed,
-        quick=args.quick,
-        requests=args.requests,
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        manifest_path=args.manifest,
-    )
-    try:
-        result = run_chaos_data(options)
-    except (RuntimeError, OSError, ValueError) as error:
-        print(f"chaos-data failed: {error}", file=sys.stderr)
-        return EXIT_FAILURE
-    print(result.render())
-    return EXIT_OK if result.ok else EXIT_FAILURE
+    return _run_fault_gate(run_chaos_data, "repro chaos-data", (
+        "Degraded-data gate: prove the gap-tolerant rolling "
+        "aggregation bit-identical to a batch recompute under an "
+        "armed data-fault plan, then drive a scripted client mix "
+        "against a data-chaos serve child. Every armed data.* site "
+        "must fire, every degraded day must be marked in "
+        "data_health, availability must hold >= 99%, and both "
+        "fault-sequence digests must replay bit-for-bit."
+    ), argv)
 
 
 #: Subcommand dispatch table; anything not listed is an experiment id.

@@ -18,9 +18,9 @@ Layers, one module per concern:
   document and the SLO gate that decides the exit code.
 * :mod:`repro.loadgen.trajectory` — the ``LATENCY_<yyyymmdd>.json``
   latency-trajectory document and the run-over-run p99 drift gate.
-* :mod:`repro.loadgen.spawn` — forking and draining a ``repro serve``
-  child for self-contained ``--spawn`` runs.
-* :mod:`repro.loadgen.harness` — phase orchestration tying it together.
+* :mod:`repro.loadgen.harness` — phase orchestration tying it together;
+  ``--spawn`` runs its ``repro serve`` child through
+  :func:`repro.gates.spawned_server`.
 """
 
 from repro.loadgen.engine import (

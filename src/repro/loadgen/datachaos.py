@@ -31,14 +31,19 @@ digests to match byte for byte.
 
 from __future__ import annotations
 
-import json
-import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro import obs
 from repro.faults.plan import DATA_SITES, default_data_plan
+from repro.gates import (
+    GateRun,
+    availability_gate,
+    fetch_json,
+    replay_gate,
+    sites_fired_gate,
+    spawned_server,
+)
 from repro.loadgen.engine import LoadEngine, discover_catalog
 from repro.loadgen.personas import (
     Catalog,
@@ -46,20 +51,14 @@ from repro.loadgen.personas import (
     PlannedRequest,
     validate_data_health,
 )
-from repro.loadgen.report import GateResult
 from repro.runner.retry import RetryPolicy
 
 __all__ = [
-    "ChaosDataOptions",
-    "ChaosDataResult",
     "DataScriptPersona",
     "build_data_script",
     "run_chaos_data",
     "write_data_plan",
 ]
-
-#: The availability floor (matches the loadgen and chaos-net gates).
-CHAOS_DATA_AVAILABILITY_FLOOR = 0.99
 
 #: Script length: quick for CI smoke, full for soaks.
 _QUICK_REQUESTS = 90
@@ -182,56 +181,8 @@ def write_data_plan(seed: int, out_dir: Path, n_days: int) -> Path:
     """Write the serve child's data-only fault plan to a JSON file."""
     plan = default_data_plan(seed, n_days, providers=DATA_PROVIDERS)
     path = Path(out_dir) / "data_fault_plan.json"
-    path.write_text(
-        json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    path.write_text(plan.to_json())
     return path
-
-
-@dataclass
-class ChaosDataOptions:
-    seed: int = 7
-    quick: bool = False
-    requests: Optional[int] = None  # override the quick/full script size
-    cache_dir: Optional[str] = None
-    jobs: int = 2
-    manifest_path: Optional[str] = None
-
-
-@dataclass
-class ChaosDataResult:
-    ok: bool
-    gates: List[GateResult]
-    digest: str
-    manifest: Dict[str, object]
-    manifest_path: Optional[str] = None
-    lines: List[str] = field(default_factory=list)
-
-    def render(self) -> str:
-        return "\n".join(self.lines)
-
-
-def _gate(name: str, passed: bool, measured: float, threshold: float,
-          detail: str = "") -> GateResult:
-    return GateResult(
-        name=name, passed=passed, measured=measured,
-        threshold=threshold, detail=detail,
-    )
-
-
-def _get_json(host: str, port: int, path: str, timeout: float = 5.0) -> dict:
-    import http.client
-
-    connection = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        connection.request("GET", path)
-        response = connection.getresponse()
-        payload = response.read()
-        if response.status != 200:
-            raise RuntimeError(f"GET {path} -> {response.status}")
-        return json.loads(payload)
-    finally:
-        connection.close()
 
 
 def _run_pipeline_proof(seed: int, quick: bool) -> Dict:
@@ -255,71 +206,40 @@ def _run_pipeline_proof(seed: int, quick: bool) -> Dict:
     return proof
 
 
-def run_chaos_data(options: ChaosDataOptions) -> ChaosDataResult:
+def run_chaos_data(
+    seed: int = 7,
+    quick: bool = False,
+    cache_dir: Optional[str] = None,
+    jobs: int = 2,
+    manifest_path: Optional[str] = None,
+) -> GateRun:
     """Run the degraded-data chaos gate end to end (blocking)."""
-    from repro.core.experiments import SPECS
-    from repro.loadgen import spawn as spawn_mod
     from repro.qa.goldens import GOLDEN_CONFIG
     from repro.store import default_cache_dir
 
-    config = GOLDEN_CONFIG
-    cache_dir = options.cache_dir or str(default_cache_dir())
-    names = sorted(SPECS)
-    count = options.requests or (
-        _QUICK_REQUESTS if options.quick else _FULL_REQUESTS
-    )
+    cache_dir = cache_dir or str(default_cache_dir())
+    count = _QUICK_REQUESTS if quick else _FULL_REQUESTS
+    armed_sites = sorted(DATA_SITES)
 
-    print(f"[chaos-data: pipeline proof, seed {options.seed}, "
-          f"{'quick' if options.quick else 'full'} world]")
-    proof = _run_pipeline_proof(options.seed, options.quick)
+    print(f"[chaos-data: pipeline proof, seed {seed}, "
+          f"{'quick' if quick else 'full'} world]")
+    proof = _run_pipeline_proof(seed, quick)
 
-    print(f"[chaos-data: ensuring {len(names)} result(s) in {cache_dir}]")
-    failures = spawn_mod.ensure_results(
-        names, config, cache_dir, jobs=options.jobs
-    )
-    if failures:
-        raise RuntimeError(
-            f"could not populate results: {', '.join(failures)}"
-        )
-
-    scratch = tempfile.mkdtemp(prefix="repro-chaosdata-")
     # Data faults own the error budget: the child gets *only* the data
     # plan (no store chaos, no transport chaos), so any non-200 in the
     # script is a real serving bug, not absorbed noise.
-    data_plan_path = write_data_plan(
-        options.seed, Path(scratch), config.n_days
-    )
-    armed_sites = sorted(DATA_SITES)
-    access_log = f"{scratch}/serve_access.log"
-    child_port = spawn_mod.free_port()
-    command = spawn_mod.serve_command(
-        port=child_port,
-        cache_dir=cache_dir,
-        quick=True,
-        jobs=2,
-        queue_depth=4,
-        deadline_ms=5000.0,
-        breaker_cooldown=0.4,
-        fault_plan=data_plan_path,
-        access_log=access_log,
-    )
-    server = spawn_mod.SpawnedServer(command, "127.0.0.1", child_port)
-    print(f"[chaos-data: serve child on port {child_port}; warming...]")
-    server.start()
-
-    drain_code: Optional[int] = None
-    data_metrics: Dict[str, object] = {}
-    try:
-        server.wait_ready()
-        catalog = discover_catalog("127.0.0.1", child_port)
+    with spawned_server(
+        "chaos-data", cache_dir, jobs=jobs, deadline_ms=5000.0,
+        plan=lambda scratch: write_data_plan(seed, scratch, GOLDEN_CONFIG.n_days),
+    ) as child:
+        catalog = discover_catalog(child.host, child.port)
         script = build_data_script(catalog, count)
         print(f"[chaos-data: driving {len(script)} scripted requests, "
-              f"seed {options.seed}, {len(armed_sites)} armed data sites]")
-        tracer = obs.Tracer("chaos-data")
+              f"seed {seed}, {len(armed_sites)} armed data sites]")
         engine = LoadEngine(
-            "127.0.0.1", child_port, catalog, options.seed,
+            child.host, child.port, catalog, seed,
             expectations={},
-            tracer=tracer,
+            tracer=obs.Tracer("chaos-data"),
             policy=RetryPolicy(
                 max_attempts=4, base_delay=0.05, multiplier=2.0,
                 max_delay=0.4,
@@ -327,94 +247,52 @@ def run_chaos_data(options: ChaosDataOptions) -> ChaosDataResult:
             timeout=6.0,
             keepalive=False,
         )
-        persona = DataScriptPersona("datachaos-driver", options.seed, catalog)
+        persona = DataScriptPersona("datachaos-driver", seed, catalog)
         phase = engine.run_script("chaos-data", persona, script)
-        metricz = _get_json("127.0.0.1", child_port, "/metricz")
-        data_metrics = metricz.get("data", {}) or {}
-    finally:
-        drain_code = server.stop()
+        data_metrics = fetch_json(child.host, child.port, "/metricz").get("data") or {}
 
     fired = dict(data_metrics.get("fired") or {})
     serve_digest = data_metrics.get("digest")
-    serve_replay = data_metrics.get("replay_digest")
-    missing = [site for site in armed_sites if not fired.get(site)]
     pipeline_digest = proof["fault_digest"]
     digest = f"{pipeline_digest}/{serve_digest}"
 
-    gates = [
-        _gate(
-            "pipeline_equivalence",
-            bool(proof["identical"] and proof["clean_days_identical"]),
-            float(len(proof["mismatched_days"])
-                  + len(proof["clean_mismatched_days"])),
-            0.0,
-            f"{proof['days_checked']} days vs batch recompute "
-            f"({len(proof['degraded_days'])} degraded)",
-        ),
-        _gate(
-            "pipeline_marking",
-            bool(proof["marking_consistent"]),
-            float(len(proof["marking_error_days"])),
-            0.0,
-            "degraded iff window holds a non-clean cell",
-        ),
-        _gate(
-            "pipeline_sites_fired",
-            bool(proof["all_armed_sites_fired"]),
-            float(len(proof["sites_fired"])),
-            float(len(proof["armed_sites"])),
-            "pipeline stage fired: " + ", ".join(
-                f"{s}={n}" for s, n in sorted(proof["sites_fired"].items())
-            ),
-        ),
-        _gate(
-            "pipeline_digest_replay",
-            bool(proof["digest_match"]),
-            1.0 if proof["digest_match"] else 0.0, 1.0,
-            f"{pipeline_digest[:16]}.. replays in-run",
-        ),
-        _gate(
-            "serve_sites_fired",
-            not missing,
-            float(len(armed_sites) - len(missing)),
-            float(len(armed_sites)),
-            "all armed data sites fired at the child" if not missing
-            else f"never fired: {', '.join(missing)}",
-        ),
-        _gate(
-            "serve_health_marked",
-            persona.health_bodies > 0 and persona.degraded_seen > 0,
-            float(persona.degraded_seen),
-            1.0,
-            f"{persona.health_bodies} list bodies carried data_health, "
-            f"{persona.degraded_seen} degraded",
-        ),
-        _gate(
-            "availability",
-            phase.availability >= CHAOS_DATA_AVAILABILITY_FLOOR,
-            phase.availability,
-            CHAOS_DATA_AVAILABILITY_FLOOR,
-            f"{phase.requests} requests, "
-            f"{phase.by_outcome['ok'] + phase.by_outcome['not_modified']} good",
-        ),
-        _gate(
-            "serve_digest_replay",
-            bool(serve_digest) and serve_digest == serve_replay,
-            1.0 if (serve_digest and serve_digest == serve_replay) else 0.0,
-            1.0,
-            f"observed {str(serve_digest)[:16]}.. vs replayed "
-            f"{str(serve_replay)[:16]}..",
-        ),
-        _gate(
-            "drain", drain_code == 0, float(drain_code or 0), 0.0,
-            "child exited clean on SIGTERM",
-        ),
-    ]
-    ok = all(gate.passed for gate in gates)
+    run = GateRun("chaos-data")
+    run.check(
+        "pipeline_equivalence",
+        proof["identical"] and proof["clean_days_identical"],
+        len(proof["mismatched_days"]) + len(proof["clean_mismatched_days"]),
+        0.0,
+        f"{proof['days_checked']} days vs batch recompute "
+        f"({len(proof['degraded_days'])} degraded)",
+    )
+    run.check(
+        "pipeline_marking", proof["marking_consistent"],
+        len(proof["marking_error_days"]), 0.0,
+        "degraded iff window holds a non-clean cell",
+    )
+    run.checks.append(sites_fired_gate(
+        "pipeline_sites_fired", proof["armed_sites"], proof["sites_fired"]
+    ))
+    run.checks.append(replay_gate(
+        "pipeline_digest_replay", pipeline_digest, proof["replay_digest"]
+    ))
+    run.checks.append(sites_fired_gate("serve_sites_fired", armed_sites, fired))
+    run.check(
+        "serve_health_marked",
+        persona.health_bodies > 0 and persona.degraded_seen > 0,
+        persona.degraded_seen, 1.0,
+        f"{persona.health_bodies} list bodies carried data_health, "
+        f"{persona.degraded_seen} degraded",
+    )
+    run.checks.append(availability_gate("availability", phase))
+    run.checks.append(replay_gate(
+        "serve_digest_replay", serve_digest, data_metrics.get("replay_digest")
+    ))
+    run.checks.append(child.drain_gate("drain"))
 
-    manifest: Dict[str, object] = {
-        "seed": options.seed,
-        "quick": options.quick,
+    run.manifest = {
+        "seed": seed,
+        "quick": quick,
         "requests": count,
         "pipeline": {
             key: proof[key] for key in (
@@ -425,10 +303,10 @@ def run_chaos_data(options: ChaosDataOptions) -> ChaosDataResult:
             )
         },
         "serve": {
-            "command": command,
-            "fault_plan": str(data_plan_path),
-            "access_log": access_log,
-            "drain_exit_code": drain_code,
+            "command": child.command,
+            "fault_plan": child.fault_plan,
+            "access_log": child.access_log,
+            "drain_exit_code": child.drain_code,
             "data": data_metrics,
         },
         "script": {
@@ -436,29 +314,12 @@ def run_chaos_data(options: ChaosDataOptions) -> ChaosDataResult:
             "degraded_seen": persona.degraded_seen,
             "statuses": dict(sorted(persona.statuses.items())),
         },
-        "phase": {
-            "requests": phase.requests,
-            "attempts": phase.attempts,
-            "availability": round(phase.availability, 6),
-            "error_rate": round(phase.error_rate, 6),
-            "by_outcome": {
-                kind: n for kind, n in phase.by_outcome.items() if n
-            },
-        },
+        "phase": phase.summary(),
         "client": engine.client_stats.to_dict(),
         "fault_digest": digest,
-        "gates": [gate.to_dict() for gate in gates],
-        "ok": ok,
     }
-
-    manifest_path = options.manifest_path
-    if manifest_path:
-        path = Path(manifest_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-    lines = [
-        f"chaos-data seed {options.seed}: {proof['days_checked']} pipeline "
+    run.lines = [
+        f"chaos-data seed {seed}: {proof['days_checked']} pipeline "
         f"days proved, {phase.requests} scripted requests at the child",
         "pipeline fires: " + (
             ", ".join(f"{s}={n}"
@@ -479,15 +340,5 @@ def run_chaos_data(options: ChaosDataOptions) -> ChaosDataResult:
         ),
         f"fault digest: {digest}",
     ]
-    for gate in gates:
-        status = "PASS" if gate.passed else "FAIL"
-        lines.append(
-            f"  [{status}] {gate.name}: {gate.measured:g} "
-            f"(threshold {gate.threshold:g}) {gate.detail}"
-        )
-    if manifest_path:
-        lines.append(f"manifest: {manifest_path}")
-    return ChaosDataResult(
-        ok=ok, gates=gates, digest=digest, manifest=manifest,
-        manifest_path=manifest_path, lines=lines,
-    )
+    run.write_manifest(manifest_path)
+    return run

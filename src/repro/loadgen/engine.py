@@ -56,6 +56,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.gates import fetch_json
 from repro.loadgen.metrics import Outcome, PhaseMetrics
 from repro.loadgen.personas import (
     Catalog,
@@ -782,6 +783,10 @@ class LoadEngine:
             return await self._pool.request(
                 path, timeout=self.timeout, headers=headers
             )
+        # One-shot: each attempt dials its own socket for its one request
+        # (counted even when the peer resets it during the handshake).
+        self.client_stats.connections_opened += 1
+        self.client_stats.requests += 1
         return await http_get(
             self.host, self.port, path, timeout=self.timeout, headers=headers
         )
@@ -1001,29 +1006,13 @@ def _short_digest(body: bytes) -> str:
 def discover_catalog(host: str, port: int, timeout: float = 5.0) -> Catalog:
     """Build a Catalog from the live service's index endpoints.
 
-    Synchronous (uses http.client) because discovery happens once,
-    before the event loop exists.  Only experiments whose index status
-    is ``available`` become researcher targets — paging a known-missing
-    result would just measure 404s.
+    Synchronous because discovery happens once, before the event loop
+    exists.  Only experiments whose index status is ``available`` become
+    researcher targets — paging a known-missing result would just
+    measure 404s.
     """
-    import http.client
-
-    def _get_json(path: str) -> dict:
-        connection = http.client.HTTPConnection(host, port, timeout=timeout)
-        try:
-            connection.request("GET", path)
-            response = connection.getresponse()
-            payload = response.read()
-            if response.status != 200:
-                raise RuntimeError(
-                    f"GET {path} -> {response.status}: {payload[:200]!r}"
-                )
-            return json.loads(payload.decode("utf-8"))
-        finally:
-            connection.close()
-
-    lists_index = _get_json("/v1/lists")
-    experiments_index = _get_json("/v1/experiments")
+    lists_index = fetch_json(host, port, "/v1/lists", timeout=timeout)
+    experiments_index = fetch_json(host, port, "/v1/experiments", timeout=timeout)
     providers = tuple(
         str(row["id"]) for row in lists_index.get("providers", [])
     )

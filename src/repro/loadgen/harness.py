@@ -36,6 +36,15 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from repro import obs
+from repro.gates import (
+    CHILD_JOBS,
+    CHILD_QUEUE_DEPTH,
+    GateResult,
+    GateRun,
+    availability_gate,
+    spawned_server,
+    write_fault_plan,
+)
 from repro.loadgen.engine import (
     ClientStats,
     LoadEngine,
@@ -46,7 +55,6 @@ from repro.loadgen.metrics import PhaseMetrics
 from repro.loadgen.personas import DEFAULT_MIX
 from repro.loadgen.pool import run_pool
 from repro.loadgen.report import (
-    GateResult,
     SloThresholds,
     build_report,
     loadgen_path,
@@ -62,9 +70,6 @@ from repro.loadgen.trajectory import (
 )
 
 __all__ = ["LoadgenOptions", "LoadgenResult", "run_loadgen"]
-
-#: Chaos-phase correctness floor (the ISSUE's acceptance bar).
-CHAOS_AVAILABILITY_FLOOR = 0.99
 
 #: Saturation sizing: worker sessions per admission-gate slot
 #: (inflight + queue).  Several times the gate guarantees shedding.
@@ -99,64 +104,54 @@ class LoadgenOptions:
 
 
 @dataclass
-class LoadgenResult:
-    """What ``run_loadgen`` hands back to the CLI."""
+class LoadgenResult(GateRun):
+    """What ``run_loadgen`` hands back to the CLI: the gate run (phase and
+    client summaries as its lines) plus the LOADGEN report."""
 
-    ok: bool
-    report: Dict[str, object]
-    report_path: Optional[str]
-    phases: List[PhaseMetrics]
-    gates: List[GateResult]
+    name: str = "loadgen"
+    report: Dict[str, object] = field(default_factory=dict)
+    report_path: Optional[str] = None
+    phases: List[PhaseMetrics] = field(default_factory=list)
 
-    def render(self) -> str:
-        lines: List[str] = []
-        for phase in self.phases:
-            quantiles = phase.latency.quantiles_ms()
-            lines.append(
-                f"[{phase.name}: {phase.requests} requests in "
-                f"{phase.duration_seconds:.2f}s "
-                f"({phase.throughput_rps():.0f} rps); "
-                f"p50 {quantiles['p50_ms']:.1f}ms p99 {quantiles['p99_ms']:.1f}ms; "
-                f"ok {phase.by_outcome['ok']} "
-                f"304 {phase.by_outcome['not_modified']} "
-                f"shed {phase.sheds} "
-                f"drift {phase.body_drift}; "
-                f"availability {phase.availability:.4f}]"
-            )
-        client = self.report.get("client")
-        if isinstance(client, dict) and client.get("requests"):
-            lines.append(
-                f"[client: {client['connections_opened']} socket(s) for "
-                f"{client['requests']} requests "
-                f"({client['requests_on_reused']} on reused connections, "
-                f"{client['stale_retries']} stale retries)]"
-            )
-        if isinstance(client, dict):
-            transport = {
-                name: client.get(name, 0)
-                for name in ("resets", "stalled", "garbled", "truncated")
-            }
-            if any(transport.values()):
-                lines.append(
-                    "[transport faults observed: "
-                    + ", ".join(
-                        f"{name} {count}"
-                        for name, count in transport.items() if count
-                    )
-                    + "]"
-                )
-        for gate in self.gates:
-            marker = "PASS" if gate.passed else "FAIL"
-            lines.append(
-                f"  {marker} {gate.name}: measured {gate.measured:.4f} "
-                f"vs {gate.threshold} ({gate.detail})"
-            )
+
+def _summary_lines(
+    phases: Sequence[PhaseMetrics], client: Mapping[str, int]
+) -> List[str]:
+    """One line per phase, then the client's socket and transport-fault tallies."""
+    lines: List[str] = []
+    for phase in phases:
+        quantiles = phase.latency.quantiles_ms()
         lines.append(
-            f"[loadgen: {'all gates green' if self.ok else 'GATE FAILURE'}"
-            + (f"; report {self.report_path}" if self.report_path else "")
+            f"[{phase.name}: {phase.requests} requests in "
+            f"{phase.duration_seconds:.2f}s "
+            f"({phase.throughput_rps():.0f} rps); "
+            f"p50 {quantiles['p50_ms']:.1f}ms p99 {quantiles['p99_ms']:.1f}ms; "
+            f"ok {phase.by_outcome['ok']} "
+            f"304 {phase.by_outcome['not_modified']} "
+            f"shed {phase.sheds} "
+            f"drift {phase.body_drift}; "
+            f"availability {phase.availability:.4f}]"
+        )
+    if client.get("requests"):
+        lines.append(
+            f"[client: {client['connections_opened']} socket(s) for "
+            f"{client['requests']} requests "
+            f"({client['requests_on_reused']} on reused connections, "
+            f"{client['stale_retries']} stale retries)]"
+        )
+    transport = {
+        name: client.get(name, 0)
+        for name in ("resets", "stalled", "garbled", "truncated")
+    }
+    if any(transport.values()):
+        lines.append(
+            "[transport faults observed: "
+            + ", ".join(
+                f"{name} {count}" for name, count in transport.items() if count
+            )
             + "]"
         )
-        return "\n".join(lines)
+    return lines
 
 
 def _parse_target(base_url: str) -> Tuple[str, int]:
@@ -169,59 +164,28 @@ def _parse_target(base_url: str) -> Tuple[str, int]:
 
 
 def _structural_gates(
+    run: LoadgenResult,
     chaos: Optional[PhaseMetrics],
     saturation: Optional[PhaseMetrics],
     totals: PhaseMetrics,
-    drain_code: Optional[int],
-) -> List[GateResult]:
+    drain: Optional[GateResult],
+) -> None:
     """The spawn-mode contract, independent of any ``--slo`` flags."""
-    gates: List[GateResult] = []
     if chaos is not None:
-        gates.append(GateResult(
-            name="chaos.availability",
-            passed=chaos.availability >= CHAOS_AVAILABILITY_FLOOR,
-            measured=chaos.availability,
-            threshold=CHAOS_AVAILABILITY_FLOOR,
-            detail="golden-correct 200s over non-shed, faults armed",
-        ))
+        run.checks.append(availability_gate("chaos.availability", chaos))
     if saturation is not None:
-        gates.append(GateResult(
-            name="saturation.sheds",
-            passed=saturation.sheds >= 1,
-            measured=float(saturation.sheds),
-            threshold=1.0,
-            detail="admission gate must actually shed under pressure",
-        ))
-        gates.append(GateResult(
-            name="saturation.retry_after_seen",
-            passed=saturation.retry_after_seen >= 1,
-            measured=float(saturation.retry_after_seen),
-            threshold=1.0,
-            detail="sheds must carry a parseable Retry-After",
-        ))
-    gates.append(GateResult(
-        name="retry_after.missing",
-        passed=totals.retry_after_missing == 0,
-        measured=float(totals.retry_after_missing),
-        threshold=0.0,
-        detail="every 503/504 must carry integer-seconds Retry-After",
-    ))
-    gates.append(GateResult(
-        name="body_drift.total",
-        passed=totals.body_drift == 0,
-        measured=float(totals.body_drift),
-        threshold=0.0,
-        detail="no 200 body may differ from its pinned golden bytes",
-    ))
-    if drain_code is not None:
-        gates.append(GateResult(
-            name="serve.drain",
-            passed=drain_code == 0,
-            measured=float(drain_code),
-            threshold=0.0,
-            detail="SIGTERM drain must exit 0",
-        ))
-    return gates
+        run.check("saturation.sheds", saturation.sheds >= 1, saturation.sheds, 1,
+                  "admission gate must actually shed under pressure")
+        run.check("saturation.retry_after_seen", saturation.retry_after_seen >= 1,
+                  saturation.retry_after_seen, 1,
+                  "sheds must carry a parseable Retry-After")
+    run.check("retry_after.missing", totals.retry_after_missing == 0,
+              totals.retry_after_missing, 0,
+              "every 503/504 must carry integer-seconds Retry-After")
+    run.check("body_drift.total", totals.body_drift == 0, totals.body_drift, 0,
+              "no 200 body may differ from its pinned golden bytes")
+    if drain is not None:
+        run.checks.append(drain)
 
 
 @dataclass
@@ -297,64 +261,28 @@ def _run_base_url(options: LoadgenOptions, tracer: obs.Tracer) -> LoadgenResult:
     totals = PhaseMetrics("totals")
     for phase in driven.phases:
         totals.merge(phase)
-    gates = _structural_gates(None, None, totals, drain_code=None)
-    gates.extend(options.slo.evaluate(steady, totals))
+    result = LoadgenResult()
+    _structural_gates(result, None, None, totals, drain=None)
+    result.checks.extend(options.slo.evaluate(steady, totals))
     return _finish(
-        options, driven, gates, catalog,
+        options, result, driven, catalog,
         target=f"http://{host}:{port}", mode="base-url", tracer=tracer,
     )
 
 
 def _run_spawn(options: LoadgenOptions, tracer: obs.Tracer) -> LoadgenResult:
-    import tempfile
-
-    from repro.core.experiments import SPECS
-    from repro.loadgen import spawn as spawn_mod
-    from repro.qa.goldens import GOLDEN_CONFIG
     from repro.store import default_cache_dir
-    from repro.worldgen.config import WorldConfig
 
-    config: WorldConfig = GOLDEN_CONFIG
     cache_dir = options.cache_dir or str(default_cache_dir())
-    names = sorted(SPECS)
 
-    print(f"[loadgen --spawn: ensuring {len(names)} result(s) at "
-          f"{config.n_sites} sites x {config.n_days} days in {cache_dir}]")
-    failures = spawn_mod.ensure_results(
-        names, config, cache_dir, jobs=options.jobs
-    )
-    if failures:
-        raise RuntimeError(f"could not populate results: {', '.join(failures)}")
-    expectations = spawn_mod.pin_expectations(names, config, cache_dir)
+    def plan(scratch):
+        return options.fault_plan or write_fault_plan(options.seed, scratch)
 
-    scratch = tempfile.mkdtemp(prefix="repro-loadgen-")
-    if options.no_faults:
-        plan_path = None
-    elif options.fault_plan is not None:
-        plan_path = options.fault_plan
-    else:
-        plan_path = str(spawn_mod.write_fault_plan(options.seed, scratch))
-    access_log = f"{scratch}/serve_access.log"
-
-    port = spawn_mod.free_port()
-    command = spawn_mod.serve_command(
-        port=port,
-        cache_dir=cache_dir,
-        quick=True,  # GOLDEN_CONFIG is the spawn scale by construction
-        jobs=2,
-        queue_depth=4,
-        breaker_cooldown=0.4,
-        fault_plan=plan_path,
-        access_log=access_log,
-    )
-    server = spawn_mod.SpawnedServer(command, "127.0.0.1", port)
-    plan_note = "no faults" if plan_path is None else f"fault plan {plan_path}"
-    print(f"[loadgen --spawn: child on port {port} ({plan_note}); warming...]")
-    server.start()
-    drain_code: Optional[int] = None
-    try:
-        server.wait_ready()
-        catalog = discover_catalog("127.0.0.1", port, timeout=options.timeout)
+    with spawned_server(
+        "loadgen --spawn", cache_dir, jobs=options.jobs,
+        plan=None if options.no_faults else plan,
+    ) as child:
+        catalog = discover_catalog(child.host, child.port, timeout=options.timeout)
         total = options.duration_seconds or (4.0 if options.quick else 15.0)
         chaos_spec = PhaseSpec(
             name="chaos", mode="closed",
@@ -363,7 +291,7 @@ def _run_spawn(options: LoadgenOptions, tracer: obs.Tracer) -> LoadgenResult:
             mix=options.mix,
             min_requests=400,
         )
-        gate_slots = 2 + 4  # the child's --jobs + --queue-depth
+        gate_slots = CHILD_JOBS + CHILD_QUEUE_DEPTH
         saturation_spec = PhaseSpec(
             name="saturation", mode="closed",
             duration_seconds=max(1.0, total * 0.3),
@@ -382,27 +310,28 @@ def _run_spawn(options: LoadgenOptions, tracer: obs.Tracer) -> LoadgenResult:
               f"{gate_slots}-slot gate; {options.workers} client "
               f"process(es)]")
         driven = _drive(
-            options, tracer, "127.0.0.1", port, catalog,
-            [chaos_spec, saturation_spec], expectations=expectations,
+            options, tracer, child.host, child.port, catalog,
+            [chaos_spec, saturation_spec], expectations=child.expectations,
         )
         chaos, saturation = driven.phases
-    finally:
-        drain_code = server.stop()
     totals = PhaseMetrics("totals")
     for phase in driven.phases:
         totals.merge(phase)
-    gates = _structural_gates(chaos, saturation, totals, drain_code)
-    gates.extend(options.slo.evaluate(chaos, totals))
+    result = LoadgenResult()
+    _structural_gates(
+        result, chaos, saturation, totals, child.drain_gate("serve.drain")
+    )
+    result.checks.extend(options.slo.evaluate(chaos, totals))
     return _finish(
-        options, driven, gates, catalog,
-        target=f"http://127.0.0.1:{port} (spawned)", mode="spawn",
+        options, result, driven, catalog,
+        target=f"http://{child.host}:{child.port} (spawned)", mode="spawn",
         tracer=tracer,
         extra={
             "spawn": {
-                "command": command,
-                "fault_plan": plan_path,
-                "access_log": access_log,
-                "drain_exit_code": drain_code,
+                "command": child.command,
+                "fault_plan": child.fault_plan,
+                "access_log": child.access_log,
+                "drain_exit_code": child.drain_code,
                 "cache_dir": cache_dir,
             },
         },
@@ -431,19 +360,13 @@ def _run_compare_only(options: LoadgenOptions) -> LoadgenResult:
             "results": [gate.to_dict() for gate in gates],
         },
     }
-    return LoadgenResult(
-        ok=all(gate.passed for gate in gates),
-        report=report,
-        report_path=None,
-        phases=[],
-        gates=gates,
-    )
+    return LoadgenResult(checks=gates, report=report)
 
 
 def _finish(
     options: LoadgenOptions,
+    result: LoadgenResult,
     driven: _DriveResult,
-    gates: List[GateResult],
     catalog,
     *,
     target: str,
@@ -466,9 +389,9 @@ def _finish(
     compared: Optional[str] = None
     if options.compare:
         previous = load_trajectory(options.compare)
-        gates = list(gates) + compare_trajectories(
+        result.checks.extend(compare_trajectories(
             trajectory, previous, tolerance=options.p99_tolerance
-        )
+        ))
         compared = options.compare
     with tracer._root_lock:
         counters = dict(tracer.root.counters)
@@ -493,7 +416,7 @@ def _finish(
         target=target,
         mode=mode,
         phases=driven.phases,
-        gates=gates,
+        gates=result.checks,
         schedule_digests=driven.schedule_digests,
         catalog={
             "providers": list(catalog.providers),
@@ -508,13 +431,10 @@ def _finish(
     )
     path = options.report_path or str(loadgen_path())
     write_report(report, path)
-    return LoadgenResult(
-        ok=all(gate.passed for gate in gates),
-        report=report,
-        report_path=path,
-        phases=driven.phases,
-        gates=gates,
-    )
+    result.report, result.report_path, result.phases = report, path, driven.phases
+    result.lines = _summary_lines(driven.phases, driven.client.to_dict())
+    result.lines.append(f"report: {path}")
+    return result
 
 
 def run_loadgen(options: LoadgenOptions) -> LoadgenResult:

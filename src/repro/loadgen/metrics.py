@@ -222,6 +222,17 @@ class PhaseMetrics:
     # ------------------------------------------------------------------
     # Serialization.
 
+    def summary(self) -> Dict[str, object]:
+        """The compact block a gate manifest records for a scripted phase."""
+        return {
+            "requests": self.requests,
+            "attempts": self.attempts,
+            "availability": round(self.availability, 6),
+            "error_rate": round(self.error_rate, 6),
+            "body_drift": self.body_drift,
+            "by_outcome": {kind: n for kind, n in self.by_outcome.items() if n},
+        }
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,

@@ -24,31 +24,24 @@ driver traffic the only thing the serial sequence counts.
 
 from __future__ import annotations
 
-import json
-import tempfile
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro import obs
 from repro.faults.netproxy import NetProxy
 from repro.faults.plan import default_net_plan
+from repro.gates import (
+    GateRun,
+    availability_gate,
+    replay_gate,
+    sites_fired_gate,
+    spawned_server,
+    write_fault_plan,
+)
 from repro.loadgen.engine import LoadEngine, discover_catalog
-from repro.loadgen.metrics import PhaseMetrics
 from repro.loadgen.personas import Catalog, Persona, PlannedRequest
-from repro.loadgen.report import GateResult
 from repro.runner.retry import RetryPolicy
 
-__all__ = [
-    "ChaosNetOptions",
-    "ChaosNetResult",
-    "ScriptPersona",
-    "build_script",
-    "run_chaos_net",
-]
-
-#: The availability floor (matches the loadgen chaos gate).
-CHAOS_NET_AVAILABILITY_FLOOR = 0.99
+__all__ = ["ScriptPersona", "build_script", "run_chaos_net"]
 
 #: Script length: quick for CI smoke, full for soaks.
 _QUICK_REQUESTS = 120
@@ -114,157 +107,70 @@ def build_script(catalog: Catalog, count: int) -> List[PlannedRequest]:
     return script
 
 
-@dataclass
-class ChaosNetOptions:
-    seed: int = 7
-    quick: bool = False
-    requests: Optional[int] = None  # override the quick/full script size
-    cache_dir: Optional[str] = None
-    jobs: int = 2
-    manifest_path: Optional[str] = None
-
-
-@dataclass
-class ChaosNetResult:
-    ok: bool
-    gates: List[GateResult]
-    digest: str
-    manifest: Dict[str, object]
-    manifest_path: Optional[str] = None
-    lines: List[str] = field(default_factory=list)
-
-    def render(self) -> str:
-        return "\n".join(self.lines)
-
-
-def _gate(name: str, passed: bool, measured: float, threshold: float,
-          detail: str = "") -> GateResult:
-    return GateResult(
-        name=name, passed=passed, measured=measured,
-        threshold=threshold, detail=detail,
-    )
-
-
-def run_chaos_net(options: ChaosNetOptions) -> ChaosNetResult:
+def run_chaos_net(
+    seed: int = 7,
+    quick: bool = False,
+    cache_dir: Optional[str] = None,
+    jobs: int = 2,
+    manifest_path: Optional[str] = None,
+) -> GateRun:
     """Run the transport chaos gate end to end (blocking)."""
-    from repro.core.experiments import SPECS
-    from repro.loadgen import spawn as spawn_mod
-    from repro.qa.goldens import GOLDEN_CONFIG
     from repro.store import default_cache_dir
 
-    config = GOLDEN_CONFIG
-    cache_dir = options.cache_dir or str(default_cache_dir())
-    names = sorted(SPECS)
-    count = options.requests or (
-        _QUICK_REQUESTS if options.quick else _FULL_REQUESTS
-    )
+    cache_dir = cache_dir or str(default_cache_dir())
+    count = _QUICK_REQUESTS if quick else _FULL_REQUESTS
+    net_plan = default_net_plan(seed, stall_seconds=_STALL_SECONDS)
+    armed_sites = sorted({rule.site for rule in net_plan.rules})
 
-    print(f"[chaos-net: ensuring {len(names)} result(s) in {cache_dir}]")
-    failures = spawn_mod.ensure_results(
-        names, config, cache_dir, jobs=options.jobs
-    )
-    if failures:
-        raise RuntimeError(
-            f"could not populate results: {', '.join(failures)}"
-        )
-    expectations = spawn_mod.pin_expectations(names, config, cache_dir)
-
-    scratch = tempfile.mkdtemp(prefix="repro-chaosnet-")
     # The child keeps its own store-level chaos (slow + corrupt reads,
     # absorbed by breaker/LKG) but no injected 5xx — transport faults
     # own the error budget in this gate.
-    serve_plan_path = spawn_mod.write_fault_plan(
-        options.seed, scratch, error_probability=0.0
-    )
-    access_log = f"{scratch}/serve_access.log"
-    child_port = spawn_mod.free_port()
-    command = spawn_mod.serve_command(
-        port=child_port,
-        cache_dir=cache_dir,
-        quick=True,
-        jobs=2,
-        queue_depth=4,
-        breaker_cooldown=0.4,
-        fault_plan=serve_plan_path,
-        access_log=access_log,
-    )
-    server = spawn_mod.SpawnedServer(command, "127.0.0.1", child_port)
-    print(f"[chaos-net: serve child on port {child_port}; warming...]")
-    server.start()
-
-    net_plan = default_net_plan(options.seed, stall_seconds=_STALL_SECONDS)
-    armed_sites = sorted({rule.site for rule in net_plan.rules})
-    proxy = NetProxy("127.0.0.1", child_port, plan=net_plan)
-    drain_code: Optional[int] = None
-    try:
-        server.wait_ready()
-        catalog = discover_catalog("127.0.0.1", child_port)
+    with spawned_server(
+        "chaos-net", cache_dir, jobs=jobs,
+        plan=lambda scratch: write_fault_plan(seed, scratch, error_probability=0.0),
+    ) as child:
+        catalog = discover_catalog(child.host, child.port)
+        proxy = NetProxy(child.host, child.port, plan=net_plan)
         proxy.start()
-        assert proxy.port is not None
-        script = build_script(catalog, count)
-        print(f"[chaos-net: proxy on port {proxy.port}; driving "
-              f"{len(script)} scripted requests, seed {options.seed}, "
-              f"{len(armed_sites)} armed net sites]")
-        tracer = obs.Tracer("chaos-net")
-        engine = LoadEngine(
-            "127.0.0.1", proxy.port, catalog, options.seed,
-            expectations=expectations,
-            tracer=tracer,
-            policy=RetryPolicy(
-                max_attempts=4, base_delay=0.05, multiplier=2.0,
-                max_delay=0.4,
-            ),
-            timeout=_DRIVER_TIMEOUT,
-            keepalive=False,
-        )
-        persona = ScriptPersona("netchaos-driver", options.seed, catalog)
-        phase = engine.run_script("chaos-net", persona, script)
-    finally:
-        proxy.stop()
-        drain_code = server.stop()
+        try:
+            assert proxy.port is not None
+            script = build_script(catalog, count)
+            print(f"[chaos-net: proxy on port {proxy.port}; driving "
+                  f"{len(script)} scripted requests, seed {seed}, "
+                  f"{len(armed_sites)} armed net sites]")
+            engine = LoadEngine(
+                child.host, proxy.port, catalog, seed,
+                expectations=child.expectations,
+                tracer=obs.Tracer("chaos-net"),
+                policy=RetryPolicy(
+                    max_attempts=4, base_delay=0.05, multiplier=2.0,
+                    max_delay=0.4,
+                ),
+                timeout=_DRIVER_TIMEOUT,
+                keepalive=False,
+            )
+            persona = ScriptPersona("netchaos-driver", seed, catalog)
+            phase = engine.run_script("chaos-net", persona, script)
+        finally:
+            proxy.stop()
 
     fired = proxy.fired_snapshot()
     digest = proxy.fault_digest()
     replay = proxy.replay_digest()
-    missing = [site for site in armed_sites if not fired.get(site)]
 
-    gates = [
-        _gate(
-            "net_sites_fired",
-            not missing,
-            float(len(armed_sites) - len(missing)),
-            float(len(armed_sites)),
-            "all armed net sites fired" if not missing
-            else f"never fired: {', '.join(missing)}",
-        ),
-        _gate(
-            "availability",
-            phase.availability >= CHAOS_NET_AVAILABILITY_FLOOR,
-            phase.availability,
-            CHAOS_NET_AVAILABILITY_FLOOR,
-            f"{phase.requests} requests, "
-            f"{phase.by_outcome['ok'] + phase.by_outcome['not_modified']} good",
-        ),
-        _gate(
-            "body_drift", phase.body_drift == 0,
-            float(phase.body_drift), 0.0,
-            f"{len(expectations)} pinned golden bodies",
-        ),
-        _gate(
-            "digest_replay", digest == replay,
-            1.0 if digest == replay else 0.0, 1.0,
-            f"observed {digest[:16]}.. vs replayed {replay[:16]}..",
-        ),
-        _gate(
-            "drain", drain_code == 0, float(drain_code or 0), 0.0,
-            "child exited clean on SIGTERM",
-        ),
-    ]
-    ok = all(gate.passed for gate in gates)
+    run = GateRun("chaos-net")
+    run.checks.append(sites_fired_gate("net_sites_fired", armed_sites, fired))
+    run.checks.append(availability_gate("availability", phase))
+    run.check(
+        "body_drift", phase.body_drift == 0, phase.body_drift, 0.0,
+        f"{len(child.expectations)} pinned golden bodies",
+    )
+    run.checks.append(replay_gate("digest_replay", digest, replay))
+    run.checks.append(child.drain_gate("drain"))
 
-    manifest: Dict[str, object] = {
-        "seed": options.seed,
-        "quick": options.quick,
+    run.manifest = {
+        "seed": seed,
+        "quick": quick,
         "requests": count,
         "net_plan": net_plan.to_dict(),
         "proxy": {
@@ -274,35 +180,17 @@ def run_chaos_net(options: ChaosNetOptions) -> ChaosNetResult:
             "digest": digest,
             "replay_digest": replay,
         },
-        "phase": {
-            "requests": phase.requests,
-            "attempts": phase.attempts,
-            "availability": round(phase.availability, 6),
-            "error_rate": round(phase.error_rate, 6),
-            "body_drift": phase.body_drift,
-            "by_outcome": {
-                kind: n for kind, n in phase.by_outcome.items() if n
-            },
-        },
+        "phase": phase.summary(),
         "client": engine.client_stats.to_dict(),
         "serve": {
-            "command": command,
-            "fault_plan": str(serve_plan_path),
-            "access_log": access_log,
-            "drain_exit_code": drain_code,
+            "command": child.command,
+            "fault_plan": child.fault_plan,
+            "access_log": child.access_log,
+            "drain_exit_code": child.drain_code,
         },
-        "gates": [gate.to_dict() for gate in gates],
-        "ok": ok,
     }
-
-    manifest_path = options.manifest_path
-    if manifest_path:
-        path = Path(manifest_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-    lines = [
-        f"chaos-net seed {options.seed}: {phase.requests} requests, "
+    run.lines = [
+        f"chaos-net seed {seed}: {phase.requests} requests, "
         f"{proxy.connections} connections through the proxy",
         "fault fires: " + (
             ", ".join(f"{site}={fired[site]}" for site in sorted(fired))
@@ -314,15 +202,5 @@ def run_chaos_net(options: ChaosNetOptions) -> ChaosNetResult:
         f"client: {engine.client_stats.to_dict()}",
         f"fault digest: {digest}",
     ]
-    for gate in gates:
-        status = "PASS" if gate.passed else "FAIL"
-        lines.append(
-            f"  [{status}] {gate.name}: {gate.measured:g} "
-            f"(threshold {gate.threshold:g}) {gate.detail}"
-        )
-    if manifest_path:
-        lines.append(f"manifest: {manifest_path}")
-    return ChaosNetResult(
-        ok=ok, gates=gates, digest=digest, manifest=manifest,
-        manifest_path=manifest_path, lines=lines,
-    )
+    run.write_manifest(manifest_path)
+    return run

@@ -12,7 +12,6 @@ regression without anyone reading the JSON.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.gates import GateResult, write_json
 from repro.loadgen.metrics import PhaseMetrics
 
 __all__ = [
@@ -38,26 +38,6 @@ LOADGEN_SCHEMA_VERSION = 1
 #: All are "measured must be <= threshold" except availability, which is
 #: "measured must be >= threshold".
 _SLO_KEYS = ("p99_ms", "p999_ms", "shed_rate", "error_rate", "availability", "body_drift")
-
-
-@dataclass(frozen=True)
-class GateResult:
-    """One evaluated gate: what was required, what was measured."""
-
-    name: str
-    passed: bool
-    measured: float
-    threshold: float
-    detail: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "measured": round(self.measured, 6),
-            "threshold": self.threshold,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -108,51 +88,22 @@ class SloThresholds:
         is judged run-wide: drift is never acceptable, not even while
         saturated.
         """
-        gates: List[GateResult] = []
-        latency = {
-            "p99_ms": steady.latency.quantile(0.99) * 1000.0,
-            "p999_ms": steady.latency.quantile(0.999) * 1000.0,
+        measured = {
+            "p99_ms": (steady.latency.quantile(0.99) * 1000.0, "steady-phase p99_ms"),
+            "p999_ms": (steady.latency.quantile(0.999) * 1000.0, "steady-phase p999_ms"),
+            "shed_rate": (steady.shed_rate, "steady-phase shed_rate"),
+            "error_rate": (steady.error_rate, "steady-phase error_rate"),
+            "availability": (steady.availability, "steady-phase ok over non-shed"),
+            "body_drift": (float(totals.body_drift), "run-wide golden-body mismatches"),
         }
-        for key in ("p99_ms", "p999_ms"):
+        gates: List[GateResult] = []
+        for key in _SLO_KEYS:
             threshold = getattr(self, key)
-            if threshold is not None:
-                measured = latency[key]
-                gates.append(GateResult(
-                    name=f"slo.{key}",
-                    passed=measured <= threshold,
-                    measured=measured,
-                    threshold=threshold,
-                    detail=f"steady-phase {key}",
-                ))
-        for key, measured in (
-            ("shed_rate", steady.shed_rate),
-            ("error_rate", steady.error_rate),
-        ):
-            threshold = getattr(self, key)
-            if threshold is not None:
-                gates.append(GateResult(
-                    name=f"slo.{key}",
-                    passed=measured <= threshold,
-                    measured=measured,
-                    threshold=threshold,
-                    detail=f"steady-phase {key}",
-                ))
-        if self.availability is not None:
-            gates.append(GateResult(
-                name="slo.availability",
-                passed=steady.availability >= self.availability,
-                measured=steady.availability,
-                threshold=self.availability,
-                detail="steady-phase ok over non-shed",
-            ))
-        if self.body_drift is not None:
-            gates.append(GateResult(
-                name="slo.body_drift",
-                passed=totals.body_drift <= self.body_drift,
-                measured=float(totals.body_drift),
-                threshold=self.body_drift,
-                detail="run-wide golden-body mismatches",
-            ))
+            if threshold is None:
+                continue
+            value, detail = measured[key]
+            passed = value >= threshold if key == "availability" else value <= threshold
+            gates.append(GateResult(f"slo.{key}", passed, value, threshold, detail))
         return gates
 
 
@@ -226,7 +177,4 @@ def loadgen_path(out_dir: os.PathLike = ".", date: Optional[str] = None) -> Path
 
 def write_report(payload: Dict[str, object], path: os.PathLike) -> Path:
     """Write a LOADGEN document as stable (sorted-key) indented JSON."""
-    target = Path(os.fspath(path))
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target
+    return write_json(payload, path)

@@ -23,8 +23,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from repro.gates import GateResult, write_json
 from repro.loadgen.metrics import PhaseMetrics
-from repro.loadgen.report import GateResult
 
 __all__ = [
     "DEFAULT_P99_TOLERANCE",
@@ -199,10 +199,7 @@ def latency_path(out_dir: os.PathLike = ".", date: Optional[str] = None) -> Path
 
 def write_trajectory(payload: Mapping[str, object], path: os.PathLike) -> Path:
     """Write a LATENCY document as stable (sorted-key) indented JSON."""
-    target = Path(os.fspath(path))
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(dict(payload), indent=2, sort_keys=True) + "\n")
-    return target
+    return write_json(payload, path)
 
 
 def load_trajectory(path: os.PathLike) -> Dict[str, object]:

@@ -23,7 +23,6 @@ that construction instead of trusting it.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from repro.providers.base import RankedList
 from repro.providers.tranco import TrancoProvider, dowdall_scores
-from repro.ranking.snapshots import snapshot_doc
+from repro.ranking.snapshots import canonical_bytes, snapshot_doc
 
 __all__ = [
     "ContinuousTranco",
@@ -264,8 +263,8 @@ def proof_of_equivalence(
         batch_scores = dowdall_scores(batch_vectors, world.n_sites)
         inc_doc = snapshot_doc(incremental, world, k=k)
         batch_doc = snapshot_doc(batch, world, k=k)
-        inc_bytes = json.dumps(inc_doc, sort_keys=True).encode()
-        batch_bytes = json.dumps(batch_doc, sort_keys=True).encode()
+        inc_bytes = canonical_bytes(inc_doc)
+        batch_bytes = canonical_bytes(batch_doc)
         inc_digest = hashlib.sha256(inc_bytes).hexdigest()
         batch_digest = hashlib.sha256(batch_bytes).hexdigest()
         entry = {

@@ -32,7 +32,6 @@ by racing threads.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import signal
@@ -44,116 +43,37 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.faults import inject as faults
 from repro.faults.plan import FaultPlan, default_serve_plan
+from repro.gates import (
+    AVAILABILITY_FLOOR,
+    QUICK_EXPERIMENTS,
+    GateRun,
+    Response,
+    ensure_results,
+    fetch,
+)
 from repro.serve.logfmt import AccessLog
 from repro.serve.server import MetricsService, ServeSettings
-from repro.store.artifacts import ArtifactStore, config_key
+from repro.store.artifacts import ArtifactStore
 from repro.worldgen.config import WorldConfig
 
-__all__ = ["SelftestReport", "run_selftest", "DEFAULT_SELFTEST_NAMES"]
+__all__ = ["SelftestReport", "run_selftest"]
 
-#: The cheap experiment subset the selftest serves (mirrors the CI
-#: chaos smoke: fast to compute at golden scale, covers both tables and
-#: figures).
-DEFAULT_SELFTEST_NAMES: Tuple[str, ...] = ("fig1", "table1", "table2", "fig6", "survey")
-
-
-@dataclass
-class Check:
-    """One selftest assertion outcome."""
-
-    name: str
-    ok: bool
-    detail: str = ""
+#: Concurrent client threads in the chaos mix and the drain phase (kept
+#: below ``max_inflight`` so the mix itself never sheds).
+_MIX_CLIENTS = 3
 
 
 @dataclass
-class SelftestReport:
+class SelftestReport(GateRun):
     """Everything ``repro serve --selftest`` asserts, with evidence."""
 
-    checks: List[Check] = field(default_factory=list)
+    name: str = "serve --selftest"
     requests_total: int = 0
     availability: float = 0.0
     shed_observed: int = 0
     breaker_opens: int = 0
     breaker_closes: int = 0
     log_lines: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(check.ok for check in self.checks)
-
-    def record(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append(Check(name, bool(ok), detail))
-
-    def render(self) -> str:
-        lines = []
-        for check in self.checks:
-            mark = "ok " if check.ok else "FAIL"
-            suffix = f": {check.detail}" if check.detail else ""
-            lines.append(f"[{mark}] {check.name}{suffix}")
-        passed = sum(1 for check in self.checks if check.ok)
-        lines.append(
-            f"\n{passed}/{len(self.checks)} checks passed; "
-            f"{self.requests_total} requests, "
-            f"availability {self.availability:.4f}, "
-            f"{self.shed_observed} shed, "
-            f"breaker opened x{self.breaker_opens} closed x{self.breaker_closes}"
-        )
-        return "\n".join(lines)
-
-
-@dataclass
-class _Response:
-    status: int
-    headers: Dict[str, str]
-    body: bytes
-    truncated: bool = False
-
-
-def _fetch(
-    host: str,
-    port: int,
-    path: str,
-    timeout: float = 10.0,
-    headers: Optional[Dict[str, str]] = None,
-) -> Optional[_Response]:
-    """One GET over a fresh connection; None when no status line arrived
-    (connection refused/reset before the response started — the one
-    outcome the drain phase legitimately excludes)."""
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        conn.request("GET", path, headers=headers or {})
-        response = conn.getresponse()
-        headers = {key.lower(): value for key, value in response.getheaders()}
-        try:
-            body = response.read()
-        except (http.client.IncompleteRead, ConnectionError, OSError):
-            return _Response(response.status, headers, b"", truncated=True)
-        return _Response(response.status, headers, body)
-    except (ConnectionError, OSError, http.client.HTTPException):
-        return None
-    finally:
-        conn.close()
-
-
-def _ensure_results(
-    names: Sequence[str], config: WorldConfig, cache_dir: str, jobs: int
-) -> List[str]:
-    """Compute any missing ``results/<name>`` blobs; returns failures."""
-    probe = ArtifactStore(cache_dir)
-    cfg_key = config_key(config)
-    missing = [
-        name for name in names
-        if probe.get_json(cfg_key, f"results/{name}") is None
-    ]
-    if not missing:
-        return []
-    from repro.runner import run_experiments
-
-    _payloads, manifest, _path = run_experiments(
-        missing, config, jobs=max(1, jobs), cache_dir=cache_dir
-    )
-    return [outcome.name for outcome in manifest.failures]
 
 
 def run_selftest(
@@ -162,13 +82,12 @@ def run_selftest(
     names: Optional[Sequence[str]] = None,
     plan: Optional[FaultPlan] = None,
     seed: int = 1337,
-    clients: int = 3,
     settings: Optional[ServeSettings] = None,
     golden_dir: Optional[object] = None,
     access_log: Optional[AccessLog] = None,
     jobs: int = 1,
     min_requests: int = 400,
-    availability_threshold: float = 0.99,
+    availability_threshold: float = AVAILABILITY_FLOOR,
     use_signals: bool = True,
 ) -> SelftestReport:
     """Run the full resilience selftest; see the module docstring.
@@ -178,13 +97,11 @@ def run_selftest(
           (missing results are computed first).
         cache_dir: artifact-store root.
         names: experiments to exercise (default
-          :data:`DEFAULT_SELFTEST_NAMES`); needs at least
+          :data:`~repro.gates.QUICK_EXPERIMENTS`); needs at least
           ``breaker_threshold`` entries to trip the circuit.
         plan: fault plan for the chaos phases (default
           :func:`~repro.faults.plan.default_serve_plan` with ``seed``).
         seed: seed for the default plan.
-        clients: concurrent client threads in the chaos mix (kept below
-          ``max_inflight`` so the mix itself never sheds).
         settings: service knobs; the default uses an ephemeral port and a
           short breaker cooldown so the selftest stays fast.
         golden_dir: optional golden snapshot directory for warmup
@@ -197,21 +114,21 @@ def run_selftest(
           the main thread); False drives the drain programmatically.
     """
     report = SelftestReport()
-    names = list(names if names is not None else DEFAULT_SELFTEST_NAMES)
+    names = list(names if names is not None else QUICK_EXPERIMENTS)
     if settings is None:
         settings = ServeSettings(port=0, breaker_cooldown_seconds=0.4)
     if len(names) < settings.breaker_threshold:
-        report.record(
+        report.check(
             "setup", False,
-            f"need >= {settings.breaker_threshold} experiments to trip the "
+            detail=f"need >= {settings.breaker_threshold} experiments to trip the "
             f"breaker, got {len(names)}",
         )
         return report
 
-    failures = _ensure_results(names, config, cache_dir, jobs)
-    report.record(
+    failures = ensure_results(names, config, cache_dir, jobs)
+    report.check(
         "results cached", not failures,
-        "all present" if not failures else f"failed: {', '.join(failures)}",
+        detail="all present" if not failures else f"failed: {', '.join(failures)}",
     )
     if failures:
         return report
@@ -227,16 +144,16 @@ def run_selftest(
     )
     statuses = service.warm()
     bad = {name: status for name, status in statuses.items() if status != "ok"}
-    report.record(
+    report.check(
         "warmup golden-verified", not bad,
-        f"{len(statuses)} result(s) primed" if not bad else str(bad),
+        detail=f"{len(statuses)} result(s) primed" if not bad else str(bad),
     )
     if bad:
         return report
 
     service.start()
     host, port = service.host, service.port
-    responses: List[Tuple[str, _Response]] = []
+    responses: List[Tuple[str, Response]] = []
     installed_signals = False
     try:
         # ----------------------------------------------------------- A
@@ -249,18 +166,18 @@ def run_selftest(
         expected: Dict[str, bytes] = {}
         baseline_ok = True
         for path in experiment_paths + list_paths + meta_paths:
-            response = _fetch(host, port, path)
+            response = fetch(host, port, path)
             if response is None or response.status != 200:
                 baseline_ok = False
-                report.record("baseline", False, f"{path} did not answer 200")
+                report.check("baseline", False, detail=f"{path} did not answer 200")
                 break
             responses.append((path, response))
             if path.startswith("/v1/experiments/"):
                 expected[path] = response.body
         if baseline_ok:
-            report.record(
+            report.check(
                 "baseline", True,
-                f"{len(experiment_paths + list_paths + meta_paths)} endpoints answered 200",
+                detail=f"{len(experiment_paths + list_paths + meta_paths)} endpoints answered 200",
             )
         else:
             return report
@@ -274,7 +191,7 @@ def run_selftest(
         conditional_ok = True
         conditional_detail = []
         for path in conditional_targets:
-            first = _fetch(host, port, path)
+            first = fetch(host, port, path)
             etag = (first.headers.get("etag") if first is not None else None)
             if first is None or first.status != 200 or not etag:
                 conditional_ok = False
@@ -282,7 +199,7 @@ def run_selftest(
                 continue
             stats = service.store.stats
             reads_before = stats.total_hits + stats.total_misses
-            revalidated = _fetch(
+            revalidated = fetch(
                 host, port, path, headers={"If-None-Match": etag}
             )
             reads_after = stats.total_hits + stats.total_misses
@@ -301,22 +218,20 @@ def run_selftest(
                     f"{path}: 304 touched the store "
                     f"({reads_after - reads_before} read(s))"
                 )
-        report.record(
+        report.check(
             "conditional GET answers 304 with zero store reads",
             conditional_ok,
-            "; ".join(conditional_detail) if conditional_detail
+            detail="; ".join(conditional_detail) if conditional_detail
             else f"{len(conditional_targets)} endpoints revalidated",
         )
 
         if config.n_days > 1:
             diff_path = f"/v1/lists/{providers[0]}/diff?from=0&to=1&k=25"
-            diff_response = _fetch(host, port, diff_path)
+            diff_response = fetch(host, port, diff_path)
             diff_ok = diff_response is not None and diff_response.status == 200
             diff_detail = "no response"
             if diff_ok:
-                import json as _json
-
-                diff_doc = _json.loads(diff_response.body)
+                diff_doc = json.loads(diff_response.body)
                 diff_ok = all(
                     key in diff_doc
                     for key in ("entrants", "dropouts", "moved", "unchanged")
@@ -326,7 +241,7 @@ def run_selftest(
                     f"{len(diff_doc.get('dropouts', []))} dropouts, "
                     f"{len(diff_doc.get('moved', []))} moved"
                 )
-            report.record("diff endpoint serves rank deltas", diff_ok, diff_detail)
+            report.check("diff endpoint serves rank deltas", diff_ok, detail=diff_detail)
 
         # ---------------------------------------------------- A (cont.)
         # Header-limit hardening: a request flooding more header lines
@@ -363,8 +278,8 @@ def run_selftest(
             limit_detail = f"status {status}, error {doc.get('error')!r}"
         except (OSError, ValueError):
             limit_detail = "malformed header-limit response"
-        report.record(
-            "header floods answer 431 in the envelope", limit_ok, limit_detail
+        report.check(
+            "header floods answer 431 in the envelope", limit_ok, detail=limit_detail
         )
 
         # ----------------------------------------------------------- B
@@ -372,57 +287,57 @@ def run_selftest(
         trip_paths = experiment_paths[: settings.breaker_threshold]
         trip_ok = True
         for path in trip_paths:
-            response = _fetch(host, port, path)
+            response = fetch(host, port, path)
             if response is None:
                 trip_ok = False
                 break
             responses.append((path, response))
             trip_ok = trip_ok and response.status == 200 and response.body == expected[path]
-        report.record(
+        report.check(
             "corrupt reads answered from last-known-good",
             trip_ok and service.breaker.opens >= 1,
-            f"breaker opened after {settings.breaker_threshold} poisoned reads"
+            detail=f"breaker opened after {settings.breaker_threshold} poisoned reads"
             if service.breaker.opens >= 1 else
             f"breaker never opened (opens={service.breaker.opens})",
         )
-        open_response = _fetch(host, port, trip_paths[0])
+        open_response = fetch(host, port, trip_paths[0])
         if open_response is not None:
             responses.append((trip_paths[0], open_response))
-        report.record(
+        report.check(
             "open breaker serves cached bodies",
             open_response is not None
             and open_response.status == 200
             and open_response.body == expected[trip_paths[0]],
         )
         time.sleep(settings.breaker_cooldown_seconds + 0.1)
-        probe_response = _fetch(host, port, trip_paths[0])
+        probe_response = fetch(host, port, trip_paths[0])
         if probe_response is not None:
             responses.append((trip_paths[0], probe_response))
-        report.record(
+        report.check(
             "half-open probe re-closed the breaker",
             probe_response is not None
             and probe_response.status == 200
             and service.breaker.closes >= 1,
-            f"closes={service.breaker.closes} after repaired store probe",
+            detail=f"closes={service.breaker.closes} after repaired store probe",
         )
 
         # ----------------------------------------------------------- C
         mix = experiment_paths + list_paths + meta_paths
-        per_round = max(1, clients) * len(mix)
+        per_round = _MIX_CLIENTS * len(mix)
         rounds = max(1, math.ceil(min_requests / per_round))
-        mix_results: List[List[Tuple[str, Optional[_Response]]]] = [
-            [] for _ in range(max(1, clients))
+        mix_results: List[List[Tuple[str, Optional[Response]]]] = [
+            [] for _ in range(_MIX_CLIENTS)
         ]
 
         def _client(index: int) -> None:
             for round_no in range(rounds):
                 for offset in range(len(mix)):
                     path = mix[(index + round_no + offset) % len(mix)]
-                    mix_results[index].append((path, _fetch(host, port, path)))
+                    mix_results[index].append((path, fetch(host, port, path)))
 
         threads = [
             threading.Thread(target=_client, args=(index,), daemon=True)
-            for index in range(max(1, clients))
+            for index in range(_MIX_CLIENTS)
         ]
         for thread in threads:
             thread.start()
@@ -435,8 +350,8 @@ def run_selftest(
                     dropped += 1
                 else:
                     responses.append((path, response))
-        report.record("chaos mix connections", dropped == 0,
-                      f"{dropped} request(s) got no response" if dropped
+        report.check("chaos mix connections", dropped == 0,
+                      detail=f"{dropped} request(s) got no response" if dropped
                       else f"{rounds * per_round} requests completed")
 
         non_shed = [
@@ -447,10 +362,11 @@ def run_selftest(
         availability = ok_count / len(non_shed) if non_shed else 0.0
         report.requests_total = len(responses)
         report.availability = availability
-        report.record(
+        report.check(
             "availability under chaos",
             availability >= availability_threshold,
-            f"{ok_count}/{len(non_shed)} non-shed requests answered 200 "
+            availability, availability_threshold,
+            detail=f"{ok_count}/{len(non_shed)} non-shed requests answered 200 "
             f"({availability:.4f} >= {availability_threshold})",
         )
         non_golden = [
@@ -459,9 +375,9 @@ def run_selftest(
             and path in expected
             and response.body != expected[path]
         ]
-        report.record(
+        report.check(
             "zero non-golden bodies served", not non_golden,
-            "every 200 body byte-identical to baseline" if not non_golden
+            detail="every 200 body byte-identical to baseline" if not non_golden
             else f"drifted: {sorted(set(non_golden))}",
         )
 
@@ -471,15 +387,15 @@ def run_selftest(
         # counting slots.
         service.gate.wait_idle(5.0)
         held = 0
-        shed_responses: List[Optional[_Response]] = []
+        shed_responses: List[Optional[Response]] = []
         try:
             while service.gate.try_acquire() is None:
                 held += 1  # simulate a fully saturated worker pool
             burst = settings.queue_depth + 4
-            burst_results: List[Optional[_Response]] = [None] * burst
+            burst_results: List[Optional[Response]] = [None] * burst
 
             def _burst(index: int) -> None:
-                burst_results[index] = _fetch(host, port, experiment_paths[0])
+                burst_results[index] = fetch(host, port, experiment_paths[0])
 
             burst_threads = [
                 threading.Thread(target=_burst, args=(index,), daemon=True)
@@ -500,21 +416,21 @@ def run_selftest(
             for response in shed_responses
         )
         report.shed_observed = service.gate.shed_total
-        report.record(
+        report.check(
             "saturated pool sheds with Retry-After", all_shed,
-            f"{len(shed_responses)} burst requests shed 503, all with Retry-After"
+            detail=f"{len(shed_responses)} burst requests shed 503, all with Retry-After"
             if all_shed else "a burst request was not shed correctly",
         )
 
         # ----------------------------------------------------------- E
         stop = threading.Event()
-        drain_results: List[Tuple[str, Optional[_Response]]] = []
+        drain_results: List[Tuple[str, Optional[Response]]] = []
         drain_lock = threading.Lock()
 
         def _drain_client(index: int) -> None:
             while not stop.is_set():
                 path = mix[index % len(mix)]
-                response = _fetch(host, port, path, timeout=5.0)
+                response = fetch(host, port, path, timeout=5.0)
                 with drain_lock:
                     drain_results.append((path, response))
                 if response is None:
@@ -522,7 +438,7 @@ def run_selftest(
 
         drain_threads = [
             threading.Thread(target=_drain_client, args=(index,), daemon=True)
-            for index in range(max(1, clients))
+            for index in range(_MIX_CLIENTS)
         ]
         for thread in drain_threads:
             thread.start()
@@ -538,10 +454,10 @@ def run_selftest(
         stop.set()
         for thread in drain_threads:
             thread.join(timeout=5.0)
-        report.record(
+        report.check(
             "SIGTERM requested drain",
             signalled and service.drain_ctl.reason == "SIGTERM",
-            f"reason={service.drain_ctl.reason}",
+            detail=f"reason={service.drain_ctl.reason}",
         )
         truncated = [
             path for path, response in drain_results
@@ -550,29 +466,29 @@ def run_selftest(
         completed = sum(
             1 for _path, response in drain_results if response is not None
         )
-        report.record(
+        report.check(
             "in-flight requests completed during drain",
             drained and not truncated,
-            f"{completed} responses completed, 0 truncated" if not truncated
+            detail=f"{completed} responses completed, 0 truncated" if not truncated
             else f"truncated responses on: {sorted(set(truncated))}",
         )
         exit_events = service.log.events("serve.exit")
-        report.record(
+        report.check(
             "structured log complete with exit 0",
             bool(service.log.events("drain.start"))
             and bool(service.log.events("drain.complete"))
             and len(exit_events) == 1
             and exit_events[0].get("code") == "0",
-            "drain.start, drain.complete, serve.exit code=0 all present",
+            detail="drain.start, drain.complete, serve.exit code=0 all present",
         )
         open_events = service.log.events("breaker.open")
         close_events = service.log.events("breaker.close")
         report.breaker_opens = len(open_events)
         report.breaker_closes = len(close_events)
-        report.record(
+        report.check(
             "breaker cycle visible in access log",
             bool(open_events) and bool(close_events),
-            f"breaker.open x{len(open_events)}, breaker.close x{len(close_events)}",
+            detail=f"breaker.open x{len(open_events)}, breaker.close x{len(close_events)}",
         )
     finally:
         faults.activate(None)
@@ -581,4 +497,10 @@ def run_selftest(
         if not service.draining:
             service.drain(reason="selftest-cleanup")
     report.log_lines = service.log.lines()
+    report.lines.append(
+        f"{report.requests_total} requests, "
+        f"availability {report.availability:.4f}, "
+        f"{report.shed_observed} shed, breaker opened "
+        f"x{report.breaker_opens} closed x{report.breaker_closes}"
+    )
     return report

@@ -92,7 +92,12 @@ from repro.core.pipeline import ExperimentContext, experiment_context
 from repro.faults import inject as faults
 from repro.faults.plan import DATA_SITES
 from repro.ranking.ingest import DegradedFeed, ProviderStream
-from repro.ranking.snapshots import diff_ranked, snapshot_doc
+from repro.ranking.snapshots import (
+    canonical_bytes,
+    diff_ranked,
+    snapshot_doc,
+    snapshot_etag,
+)
 from repro.ranking.stability import StabilityTracker
 from repro.serve.breaker import BreakerState, CircuitBreaker, LastKnownGood
 from repro.serve.drain import DrainController
@@ -323,7 +328,8 @@ class MetricsService:
         self.lkg = LastKnownGood(settings.lkg_capacity)
         self.drain_ctl = DrainController()
         self._cfg_key = config_key(config)
-        self._reference: Dict[str, str] = {}  # name -> sha256 of golden body
+        # name -> strong ETag (quoted sha256) of the golden body
+        self._reference: Dict[str, str] = {}
         self._not_golden: Dict[str, str] = {}  # name -> why warmup refused it
         self._read_status = threading.local()
         self._counters_lock = threading.Lock()
@@ -397,9 +403,9 @@ class MetricsService:
             return None, ("lost" if name in self._reference else None)
         if not isinstance(blob, dict) or blob.get("schema_version") != SCHEMA_VERSION:
             return None, "invalid"
-        body = json.dumps(blob, sort_keys=True).encode("utf-8")
+        body = canonical_bytes(blob)
         reference = self._reference.get(name)
-        if reference is not None and _digest(body) != reference:
+        if reference is not None and snapshot_etag(body) != reference:
             # Never serve a body that drifted from the golden-verified
             # reference — answer from last-known-good instead.
             with self._counters_lock:
@@ -448,7 +454,7 @@ class MetricsService:
                 self._not_golden[name] = drift
                 statuses[name] = "not-golden"
                 continue
-            self._reference[name] = _digest(body)
+            self._reference[name] = snapshot_etag(body)
             self.lkg.put(name, body)
             statuses[name] = "ok"
         if build_lists:
@@ -845,7 +851,7 @@ class MetricsService:
 
     def _handle_control(self, route: str) -> Tuple[int, bytes, Dict[str, str]]:
         if route == "healthz":
-            return 200, _json_body({"status": "alive"}), {}
+            return 200, canonical_bytes({"status": "alive"}), {}
         if route == "readyz":
             # Not-ready is an error the canonical envelope covers like any
             # other 5xx; the "error" token tells load balancers why.
@@ -855,8 +861,8 @@ class MetricsService:
             if not self._ready:
                 body, headers = self._retry_error("not_ready", "warming")
                 return 503, body, headers
-            return 200, _json_body({"status": "ready"}), {}
-        return 200, _json_body(self.metrics()), {}
+            return 200, canonical_bytes({"status": "ready"}), {}
+        return 200, canonical_bytes(self.metrics()), {}
 
     def _handle_v1(
         self,
@@ -953,8 +959,8 @@ class MetricsService:
                 "status": status,
                 "path": f"/v1/experiments/{name}",
             })
-        body = _json_body({"experiments": rows, "config_key": self._cfg_key})
-        etag = _etag_of(body)
+        body = canonical_bytes({"experiments": rows, "config_key": self._cfg_key})
+        etag = snapshot_etag(body)
         if _etag_matches(inm, etag):
             return self._not_modified(etag, "index")
         return 200, body, {"ETag": etag}, "index"
@@ -975,14 +981,13 @@ class MetricsService:
             return 503, body, headers, "not-golden"
         reference = self._reference.get(name)
         if reference is not None:
-            # The warmup-pinned reference digest doubles as the strong
-            # ETag (it equals the artifact store's recorded checksum for
-            # results/<name> — canonical payloads hash identically), so a
-            # conditional hit answers before the breaker, the store, or
-            # any read budget is touched: zero store reads.
-            etag = '"%s"' % reference
-            if _etag_matches(inm, etag):
-                return self._not_modified(etag, "experiment")
+            # The warmup-pinned reference is the body's strong ETag (the
+            # quoted artifact-store checksum for results/<name> —
+            # canonical payloads hash identically), so a conditional hit
+            # answers before the breaker, the store, or any read budget
+            # is touched: zero store reads.
+            if _etag_matches(inm, reference):
+                return self._not_modified(reference, "experiment")
         if not self.breaker.allow():
             body = self.lkg.get(name)
             if body is not None:
@@ -1054,7 +1059,7 @@ class MetricsService:
             }
             for name in sorted(ctx.providers)
         ]
-        body = _json_body({
+        body = canonical_bytes({
             "providers": providers,
             "days": int(self.config.n_days),
             "default_k": self.settings.default_k,
@@ -1150,8 +1155,8 @@ class MetricsService:
             # clean serving of the same list: the marking is part of the
             # representation, not response decoration.
             doc["data_health"] = data_health
-        body = _json_body(doc)
-        etag = _etag_of(body)
+        body = canonical_bytes(doc)
+        etag = snapshot_etag(body)
         self._remember_etag(cache_key, etag)
         return 200, body, {"ETag": etag}, "lists"
 
@@ -1205,8 +1210,8 @@ class MetricsService:
         to_names = self._ranked(provider, to_day).head(k).strings(ctx.world)
         doc = {"provider": provider, "from": from_day, "to": to_day, "k": k}
         doc.update(diff_ranked(from_names, to_names))
-        body = _json_body(doc)
-        etag = _etag_of(body)
+        body = canonical_bytes(doc)
+        etag = snapshot_etag(body)
         self._remember_etag(cache_key, etag)
         return 200, body, {"ETag": etag}, "lists-diff"
 
@@ -1271,8 +1276,8 @@ class MetricsService:
                 "degraded_days": len(doc.get("degraded_days", [])),
                 "by_status": dict(sorted(degraded_statuses.items())),
             }
-        body = _json_body(doc)
-        etag = _etag_of(body)
+        body = canonical_bytes(doc)
+        etag = snapshot_etag(body)
         with self._etag_lock:
             self._stability_cache[cache_key] = (body, etag)
             while len(self._stability_cache) > 16:
@@ -1303,10 +1308,11 @@ class MetricsService:
             return version
         doc = snapshot_doc(ranked, self._context().world,  # type: ignore[arg-type]
                            data_health=data_health)
-        payload = _json_body(doc)
         artifact = f"lists/{provider}/day-{day}"
         self.store.put_json(self._cfg_key, artifact, doc)
-        version = self.store.checksum(self._cfg_key, artifact) or _digest(payload)
+        version = self.store.checksum(self._cfg_key, artifact) or (
+            hashlib.sha256(canonical_bytes(doc)).hexdigest()
+        )
         with self._etag_lock:
             self._list_versions[key] = version
         return version
@@ -1337,7 +1343,7 @@ class MetricsService:
     ) -> Dict[str, str]:
         """Headers for a 200 with a content-addressed body: strong ETag."""
         merged = dict(headers)
-        merged["ETag"] = _etag_of(body)
+        merged["ETag"] = snapshot_etag(body)
         return merged
 
     # ------------------------------------------------------------------
@@ -1517,14 +1523,6 @@ class MetricsService:
         )
 
 
-def _digest(body: bytes) -> str:
-    return hashlib.sha256(body).hexdigest()
-
-
-def _json_body(value: object) -> bytes:
-    return json.dumps(value, sort_keys=True).encode("utf-8")
-
-
 def _error_body(
     error: str, detail: str = "", retry_after: Optional[int] = None
 ) -> bytes:
@@ -1538,12 +1536,7 @@ def _error_body(
     doc: Dict[str, object] = {"error": error, "detail": detail}
     if retry_after is not None:
         doc["retry_after"] = retry_after
-    return _json_body(doc)
-
-
-def _etag_of(body: bytes) -> str:
-    """Strong ETag for a content-addressed body: quoted sha256 hex."""
-    return '"%s"' % _digest(body)
+    return canonical_bytes(doc)
 
 
 def _etag_matches(header: Optional[str], etag: str) -> bool:

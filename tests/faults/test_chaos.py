@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.cli import EXIT_FAILURE, EXIT_OK, main
+from repro.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from repro.faults import FaultPlan, FaultRule
 from repro.qa.goldens import verify_goldens
 from repro.runner import run_experiments
@@ -204,3 +204,15 @@ class TestChaosCommand:
             "--experiment", "survey",
         ])
         assert rc == 2
+
+    def test_missing_goldens_are_usage_error_before_running(self, tmp_path):
+        # Without the goldens the gate could only report drift after
+        # running everything; it must refuse up front instead.
+        empty = tmp_path / "no-goldens"
+        empty.mkdir()
+        rc = main([
+            "chaos", "--experiment", "survey", "--golden-dir", str(empty),
+            "--manifest", str(tmp_path / "never.json"),
+        ])
+        assert rc == EXIT_USAGE
+        assert not (tmp_path / "never.json").exists()

@@ -10,8 +10,8 @@ Three contracts, each against a scripted server the test controls:
   socket, and the next request opens a fresh one.
 
 Plus the engine-level integration: a closed-loop phase with keep-alive
-on reuses connections, and with keep-alive off it reverts to the
-one-socket-per-request PR 6 behavior.
+on reuses connections, and with keep-alive off it opens (and counts)
+one socket per request.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from repro.loadgen.engine import (
     LoadEngine,
     PhaseSpec,
 )
-from repro.loadgen.personas import Catalog
+from repro.loadgen.netchaos import ScriptPersona
+from repro.loadgen.personas import Catalog, PlannedRequest
 
 _CATALOG = Catalog(providers=("alexa",), days=4, experiments=("lg1",))
 
@@ -317,7 +318,28 @@ class TestEngineKeepAlive:
         )
         metrics = engine.run_phase(self._phase())
         assert metrics.requests > 0
-        # The pool never ran: its stats stayed zero and the server saw
-        # at least one TCP connection per request.
-        assert engine.client_stats.requests == 0
+        # No pool: every attempt opened, and was counted on, its own
+        # socket, and the server saw each of them.
+        stats = engine.client_stats
+        assert stats.requests == stats.connections_opened == metrics.attempts
+        assert stats.requests_on_reused == 0
         assert handler.connection_count >= metrics.requests
+
+    def test_no_keepalive_script_counts_requests_and_sockets(self, ka_server):
+        server, handler = ka_server
+        engine = LoadEngine(
+            "127.0.0.1", server.server_address[1], _CATALOG, seed=3,
+            keepalive=False,
+        )
+        script = [
+            PlannedRequest(path="/healthz", kind="health", think_seconds=0.0,
+                           persona_id="script", conditional=False)
+            for _ in range(12)
+        ]
+        metrics = engine.run_script(
+            "script", ScriptPersona("script", 3, _CATALOG), script
+        )
+        assert metrics.by_outcome["ok"] == 12
+        stats = engine.client_stats
+        assert stats.requests == stats.connections_opened == 12
+        assert handler.connection_count == 12

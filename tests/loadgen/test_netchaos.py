@@ -34,7 +34,7 @@ class TestBuildScript:
 
     def test_prefix_stability(self):
         # A longer script extends, never reshuffles, a shorter one —
-        # the property that keeps --requests overrides comparable.
+        # the property that keeps quick and full runs comparable.
         short = build_script(_CATALOG, 30)
         long = build_script(_CATALOG, 90)
         assert long[:30] == short

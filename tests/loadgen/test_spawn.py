@@ -1,8 +1,8 @@
-"""Spawn helpers: command building, port picking, pinning, fault plans.
+"""Spawned-child helpers: command building, port picking, pinning, plans.
 
 The full child lifecycle (fork, warm, load, drain) is exercised by
-``repro loadgen --spawn --quick`` in CI's loadgen-smoke job; these tests
-cover the pure helpers it is built from.
+``repro loadgen --spawn --quick`` in CI's gate matrix; these tests cover
+the pure :mod:`repro.gates` helpers it is built from.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 from repro.core.experiments import SPECS, ExperimentResult, ExperimentSpec
 from repro.faults.plan import FaultPlan
-from repro.loadgen.spawn import (
+from repro.gates import (
     ensure_results,
     free_port,
     pin_expectations,

@@ -211,7 +211,7 @@ class TestCompareOnlyHarness:
                                 _document(p99_seconds=0.50)),
         ))
         assert not result.ok
-        assert any(not gate.passed for gate in result.gates)
+        assert any(not gate.passed for gate in result.checks)
 
     def test_malformed_invocations_raise(self, tmp_path):
         from repro.loadgen.harness import LoadgenOptions, run_loadgen

@@ -14,8 +14,8 @@ import pytest
 
 from repro.core.experiments import SPECS, ExperimentResult, ExperimentSpec
 from repro.faults import inject as fault_inject
+from repro.gates import fetch
 from repro.runner import run_experiments
-from repro.serve.selftest import _fetch
 from repro.serve.server import MetricsService, ServeSettings
 from repro.store import ArtifactStore, config_key
 from repro.worldgen.config import WorldConfig
@@ -71,7 +71,7 @@ def service(tiny_registry, tmp_path_factory):
 
 
 def _get(svc, path, headers=None):
-    response = _fetch(svc.host, svc.port, path, headers=headers)
+    response = fetch(svc.host, svc.port, path, headers=headers)
     assert response is not None, f"no response for {path}"
     return response
 

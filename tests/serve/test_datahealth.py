@@ -17,9 +17,9 @@ import pytest
 from repro.core.experiments import SPECS, ExperimentResult, ExperimentSpec
 from repro.faults import inject as fault_inject
 from repro.faults.plan import default_data_plan
+from repro.gates import fetch
 from repro.loadgen.personas import validate_data_health
 from repro.runner import run_experiments
-from repro.serve.selftest import _fetch
 from repro.serve.server import MetricsService, ServeSettings
 from repro.store import ArtifactStore
 from repro.worldgen.config import WorldConfig
@@ -69,7 +69,7 @@ def service(tiny_registry, tmp_path_factory):
 
 
 def _get_json(svc, path, headers=None):
-    response = _fetch(svc.host, svc.port, path, headers=headers)
+    response = fetch(svc.host, svc.port, path, headers=headers)
     assert response is not None, f"no response for {path}"
     return response, (json.loads(response.body) if response.status == 200
                       else None)
@@ -127,9 +127,9 @@ class TestListBodies:
                     continue
                 etag = response.headers.get("etag")
                 assert etag
-                again = _fetch(service.host, service.port,
-                               f"/v1/lists/{provider}/{day}?k=20",
-                               headers={"If-None-Match": etag})
+                again = fetch(service.host, service.port,
+                              f"/v1/lists/{provider}/{day}?k=20",
+                              headers={"If-None-Match": etag})
                 assert again.status == 304
                 return
         pytest.fail("no degraded day found")

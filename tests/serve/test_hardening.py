@@ -23,8 +23,8 @@ import time
 import pytest
 
 from repro.core.experiments import SPECS, ExperimentResult, ExperimentSpec
+from repro.gates import fetch
 from repro.runner import run_experiments
-from repro.serve.selftest import _fetch
 from repro.serve.server import MetricsService, ServeSettings
 from repro.store import ArtifactStore
 from repro.worldgen.config import WorldConfig
@@ -166,7 +166,7 @@ class TestHeaderLimits:
             ).encode(),
         )
         metrics = json.loads(
-            _fetch(service.host, service.port, "/metricz").body
+            fetch(service.host, service.port, "/metricz").body
         )
         assert metrics["connections"]["max_header_count"] == 64
 
@@ -182,7 +182,7 @@ class TestProtocolErrors:
     def test_protocol_errors_are_counted(self, service):
         _raw_exchange(service, b"GARBAGE\r\n\r\n")
         metrics = json.loads(
-            _fetch(service.host, service.port, "/metricz").body
+            fetch(service.host, service.port, "/metricz").body
         )
         assert metrics["requests"]["protocol_errors"] >= 1
 
@@ -203,7 +203,7 @@ class TestClientGone:
 
         service.handle(_GoneHandler())  # must not raise
         metrics = json.loads(
-            _fetch(service.host, service.port, "/metricz").body
+            fetch(service.host, service.port, "/metricz").body
         )
         assert metrics["requests"]["client_gone"] == 1
         # The breaker never saw it: store state untouched.
@@ -242,7 +242,7 @@ class TestLifetimeReaper:
                         break
                     time.sleep(0.1)
                 assert reaped, "lifetime reaper never closed the connection"
-            metrics = json.loads(_fetch(svc.host, svc.port, "/metricz").body)
+            metrics = json.loads(fetch(svc.host, svc.port, "/metricz").body)
             assert metrics["connections"]["reaped"] >= 1
             assert metrics["connections"]["lifetime_seconds"] == 0.4
         finally:
@@ -255,6 +255,6 @@ class TestLifetimeReaper:
             assert service.active_connections >= 1
         time.sleep(0.3)
         metrics = json.loads(
-            _fetch(service.host, service.port, "/metricz").body
+            fetch(service.host, service.port, "/metricz").body
         )
         assert metrics["connections"]["idle_timeout_seconds"] == 30.0

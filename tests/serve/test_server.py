@@ -16,9 +16,9 @@ import pytest
 from repro.core.experiments import SPECS, ExperimentResult, ExperimentSpec
 from repro.faults import FaultPlan, FaultRule
 from repro.faults import inject as fault_inject
+from repro.gates import fetch
 from repro.runner import run_experiments
 from repro.serve.breaker import BreakerState
-from repro.serve.selftest import _fetch
 from repro.serve.server import (
     RETRY_AFTER_CAP,
     MetricsService,
@@ -92,7 +92,7 @@ def service(served_cache, tiny_registry):
 
 
 def _get(svc, path):
-    response = _fetch(svc.host, svc.port, path)
+    response = fetch(svc.host, svc.port, path)
     assert response is not None, f"no response for {path}"
     return response
 
@@ -270,11 +270,11 @@ class TestSheddingIntegration:
             burst = service.settings.queue_depth + 3
             results = [None] * burst
 
-            def fetch(i):
-                results[i] = _fetch(service.host, service.port,
-                                    "/v1/experiments/srv1")
+            def request(i):
+                results[i] = fetch(service.host, service.port,
+                                   "/v1/experiments/srv1")
 
-            threads = [threading.Thread(target=fetch, args=(i,))
+            threads = [threading.Thread(target=request, args=(i,))
                        for i in range(burst)]
             for thread in threads:
                 thread.start()
@@ -332,8 +332,8 @@ class TestRetryAfter:
         try:
             while service.gate.try_acquire() is None:
                 held += 1
-            response = _fetch(service.host, service.port,
-                              "/v1/experiments/srv1")
+            response = fetch(service.host, service.port,
+                             "/v1/experiments/srv1")
         finally:
             for _ in range(held):
                 service.gate.release()
@@ -350,7 +350,7 @@ class TestRetryAfter:
         svc.warm()
         svc.start()
         try:
-            response = _fetch(svc.host, svc.port, "/v1/experiments/srv1")
+            response = fetch(svc.host, svc.port, "/v1/experiments/srv1")
             assert response.status == 504
             assert int(response.headers["retry-after"]) >= 1
         finally:
@@ -373,12 +373,12 @@ class TestDeadline:
         svc.warm()
         svc.start()
         try:
-            response = _fetch(svc.host, svc.port, "/v1/experiments/srv1")
+            response = fetch(svc.host, svc.port, "/v1/experiments/srv1")
             assert response is not None
             assert response.status == 504
             assert "retry-after" in response.headers
             # Health surfaces are exempt from the deadline budget.
-            assert _fetch(svc.host, svc.port, "/healthz").status == 200
+            assert fetch(svc.host, svc.port, "/healthz").status == 200
         finally:
             svc.drain(reason="test")
 
@@ -391,11 +391,11 @@ class TestDrainIntegration:
         )
         svc.warm()
         svc.start()
-        assert _fetch(svc.host, svc.port, "/readyz").status == 200
+        assert fetch(svc.host, svc.port, "/readyz").status == 200
         host, port = svc.host, svc.port
         assert svc.drain(reason="SIGTERM")
         assert svc.draining
-        assert _fetch(host, port, "/readyz") is None  # listener closed
+        assert fetch(host, port, "/readyz") is None  # listener closed
         exits = svc.log.events("serve.exit")
         assert len(exits) == 1
         assert exits[0]["code"] == "0"
@@ -412,7 +412,7 @@ class TestDrainIntegration:
         svc.start()
         try:
             svc._draining = True
-            response = _fetch(svc.host, svc.port, "/readyz")
+            response = fetch(svc.host, svc.port, "/readyz")
             assert response is not None
             assert response.status == 503
             assert "retry-after" in response.headers
@@ -444,7 +444,7 @@ class TestWarmup:
             assert statuses[name] == "missing"
             svc.start()
             try:
-                assert _fetch(svc.host, svc.port,
+                assert fetch(svc.host, svc.port,
                               f"/v1/experiments/{name}").status == 404
             finally:
                 svc.drain(reason="test")
@@ -465,4 +465,5 @@ class TestWarmup:
         body = json.dumps(blob, sort_keys=True).encode()
         import hashlib
 
-        assert svc._reference["srv1"] == hashlib.sha256(body).hexdigest()
+        # The reference is the body's strong ETag: quoted sha256 hex.
+        assert svc._reference["srv1"] == '"%s"' % hashlib.sha256(body).hexdigest()
