@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import ndtr
 
 from repro.core.normalize import NormalizedList
 from repro.weblib.categories import CATEGORIES
@@ -110,7 +110,7 @@ def logistic_regression(
     covariance = np.linalg.inv(design.T @ (design * w[:, None]) + ridge * np.eye(k))
     std_err = np.sqrt(np.diag(covariance))
     z_values = beta / std_err
-    p_values = 2.0 * _scipy_stats.norm.sf(np.abs(z_values))
+    p_values = 2.0 * ndtr(-np.abs(z_values))
     return LogisticFit(
         coef=beta,
         std_err=std_err,

@@ -9,8 +9,9 @@ The paper compares lists two ways (Section 4.3):
   two lists, correlating each element's rank position within each list.
 
 Spearman is implemented from first principles (average ranks for ties,
-Pearson correlation of the rank vectors, t-approximation p-value) and
-validated against ``scipy.stats.spearmanr`` in the test suite.
+Pearson correlation of the rank vectors, t-approximation p-value from
+``scipy.special.stdtr``) and validated against ``scipy.stats.spearmanr``
+in the test suite.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtr
 
 __all__ = [
     "jaccard_index",
@@ -33,14 +34,22 @@ __all__ = [
 ]
 
 
+def _as_set(items: Iterable[int]) -> set:
+    """``items`` as a set of plain Python values (numpy scalars hash and
+    compare far slower than the ints ``.tolist()`` yields)."""
+    if isinstance(items, np.ndarray):
+        items = items.tolist()
+    return set(items)
+
+
 def jaccard_index(a: Iterable[int], b: Iterable[int]) -> float:
     """Jaccard index of two collections treated as sets.
 
     Returns 1.0 for two empty collections (identical sets), matching the
     set-theoretic convention.
     """
-    set_a = set(a)
-    set_b = set(b)
+    set_a = _as_set(a)
+    set_b = _as_set(b)
     union = len(set_a | set_b)
     if union == 0:
         return 1.0
@@ -56,15 +65,13 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
     sorted_values = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Tie groups are runs of equal sorted values: [first, last] positions.
+    breaks = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
+    first = np.concatenate(([0], breaks))
+    last = np.concatenate((breaks, [len(values)])) - 1
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 
@@ -122,7 +129,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
         pvalue = 0.0 if abs(rho) == 1.0 and n > 2 else 1.0
     else:
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        pvalue = float(2.0 * _scipy_stats.t.sf(abs(t), df=n - 2))
+        pvalue = float(2.0 * stdtr(n - 2, -abs(t)))
     return SpearmanResult(rho, pvalue)
 
 
@@ -137,19 +144,21 @@ def rank_correlation_of_lists(
     metric ranking.
 
     Returns ``(nan, nan)`` when the intersection has fewer than two
-    elements.
+    elements.  An id repeated in ``list_a`` takes its last position there.
     """
-    pos_a: Dict[int, int] = {item: i for i, item in enumerate(list_a)}
-    shared_positions_a = []
-    shared_positions_b = []
-    for j, item in enumerate(list_b):
-        i = pos_a.get(item)
-        if i is not None:
-            shared_positions_a.append(i)
-            shared_positions_b.append(j)
-    if len(shared_positions_a) < 2:
+    a = np.asarray(list_a)
+    b = np.asarray(list_b)
+    order_a = np.argsort(a, kind="stable")
+    sorted_a = a[order_a]
+    # The last sorted slot <= each id of b; stable order makes that the
+    # id's last position in list_a when it is present at all.
+    slot = np.searchsorted(sorted_a, b, side="right") - 1
+    shared = slot >= 0
+    shared[shared] = sorted_a[slot[shared]] == b[shared]
+    positions_b = np.flatnonzero(shared)
+    if len(positions_b) < 2:
         return SpearmanResult(float("nan"), float("nan"))
-    return spearman(shared_positions_a, shared_positions_b)
+    return spearman(order_a[slot[shared]], positions_b)
 
 
 def pairwise_jaccard(lists: Dict[str, Sequence[int]]) -> Dict[Tuple[str, str], float]:
@@ -158,7 +167,7 @@ def pairwise_jaccard(lists: Dict[str, Sequence[int]]) -> Dict[Tuple[str, str], f
     Returns a symmetric mapping including both orderings plus the diagonal.
     """
     names = list(lists)
-    sets = {name: set(lists[name]) for name in names}
+    sets = {name: _as_set(lists[name]) for name in names}
     out: Dict[Tuple[str, str], float] = {}
     for i, a in enumerate(names):
         out[(a, a)] = 1.0

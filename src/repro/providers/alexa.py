@@ -109,7 +109,7 @@ class AlexaProvider(TopListProvider):
             self._smoothed[d] = score
         return self._smoothed[day]
 
-    def daily_list(self, day: int) -> RankedList:
+    def _build_daily(self, day: int) -> RankedList:
         """The Alexa list published on ``day``.
 
         Sites the panel has never observed cannot be ranked and are

@@ -8,8 +8,8 @@ plus, for CrUX, rank-magnitude bucket assignments instead of exact ranks.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -76,6 +76,18 @@ class RankedList:
         )
 
 
+def _frozen(ranked: RankedList) -> RankedList:
+    """``ranked`` over a read-only view of its rows: a memoized list is
+    shared by every caller, so a write into it must raise, not corrupt
+    the others."""
+    rows = np.asarray(ranked.name_rows)
+    if not rows.flags.writeable:
+        return ranked
+    rows = rows.view()
+    rows.flags.writeable = False
+    return replace(ranked, name_rows=rows)
+
+
 class TopListProvider(abc.ABC):
     """Base class for top-list simulators.
 
@@ -95,6 +107,8 @@ class TopListProvider(abc.ABC):
     def __init__(self, world: World, traffic: TrafficModel) -> None:
         self._world = world
         self._traffic = traffic
+        self._daily: Dict[int, RankedList] = {}
+        self._monthly: Optional[RankedList] = None
 
     @property
     def world(self) -> World:
@@ -141,16 +155,32 @@ class TopListProvider(abc.ABC):
             bias = bias * shared_rng.lognormal(0.0, common, size=n)
         return bias
 
-    @abc.abstractmethod
     def daily_list(self, day: int) -> RankedList:
         """The list as published for simulated ``day``.
 
         Monthly-cadence providers return their monthly list regardless of
         day (CrUX is fixed for the whole window, as in Figure 3's note).
+        Each day's list is built at most once per instance; composites and
+        the store wrapper reuse that build.  Not thread-safe: providers
+        share one traffic model, so concurrent callers serialize.
         """
+        ranked = self._daily.get(day)
+        if ranked is None:
+            ranked = self._daily[day] = _frozen(self._build_daily(day))
+        return ranked
 
     def monthly_list(self) -> RankedList:
-        """The provider's list for the whole window.
+        """The provider's list for the whole window (built once)."""
+        if self._monthly is None:
+            self._monthly = _frozen(self._build_monthly())
+        return self._monthly
+
+    @abc.abstractmethod
+    def _build_daily(self, day: int) -> RankedList:
+        """Build the list for ``day``; :meth:`daily_list` memoizes it."""
+
+    def _build_monthly(self) -> RankedList:
+        """Build the whole-window list; :meth:`monthly_list` memoizes it.
 
         Default: the middle day's snapshot, which matches how researchers
         pin one snapshot for a study period.  Monthly-aggregated providers
@@ -163,28 +193,24 @@ class TopListProvider(abc.ABC):
         scores: np.ndarray,
         name_rows: np.ndarray,
         day: Optional[int],
-        tie_break_alpha: bool = False,
         min_score: float = 0.0,
     ) -> RankedList:
         """Rank ``name_rows`` by ``scores`` (descending) into a list.
+
+        The sort is stable, so tied rows keep their input order; a
+        provider that breaks ties some other way passes its rows
+        pre-ordered by that key.
 
         Args:
             scores: per-row scores; rows with score <= ``min_score`` are
               excluded (a panel can't rank what it never saw).
             name_rows: candidate name-table rows, aligned with scores.
             day: publication day tag.
-            tie_break_alpha: break score ties alphabetically (Umbrella's
-              documented artifact) instead of arbitrarily.
         """
         keep = scores > min_score
         scores = scores[keep]
         name_rows = name_rows[keep]
-        if tie_break_alpha:
-            strings = self._world.names.strings
-            alpha = np.array([strings[int(r)] for r in name_rows])
-            order = np.lexsort((alpha, -scores))
-        else:
-            order = np.argsort(-scores, kind="stable")
+        order = np.argsort(-scores, kind="stable")
         limit = self._world.config.list_length
         return RankedList(
             provider=self.name,

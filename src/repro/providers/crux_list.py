@@ -50,7 +50,6 @@ class CruxProvider(TopListProvider):
         self._origin_rows = names.rows_of_kind(NameKind.ORIGIN)
         self._origin_sites = names.site[self._origin_rows]
         self._origin_share = names.share[self._origin_rows]
-        self._monthly: Optional[RankedList] = None
         self._country_cache: dict = {}
 
     @property
@@ -58,13 +57,7 @@ class CruxProvider(TopListProvider):
         """The underlying Chrome panel."""
         return self._telemetry
 
-    def monthly_list(self) -> RankedList:
-        """The month's CrUX release (cached)."""
-        if self._monthly is None:
-            self._monthly = self._build_monthly()
-        return self._monthly
-
-    def daily_list(self, day: int) -> RankedList:
+    def _build_daily(self, day: int) -> RankedList:
         """CrUX does not publish daily; every day sees the monthly list."""
         return self.monthly_list()
 
@@ -92,6 +85,7 @@ class CruxProvider(TopListProvider):
         return cached
 
     def _build_monthly(self) -> RankedList:
+        """The month's CrUX release."""
         site_completed = self._telemetry.global_completed_by_site()
         return self._publish(site_completed)
 

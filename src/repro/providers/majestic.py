@@ -37,7 +37,7 @@ class MajesticProvider(TopListProvider):
         coverage = rng.beta(8.0, 2.0, size=world.n_sites)
         self._crawled_links = world.sites.backlinks * coverage
 
-    def daily_list(self, day: int) -> RankedList:
+    def _build_daily(self, day: int) -> RankedList:
         """The Majestic Million for ``day``.
 
         Day-to-day movement is limited to slow crawl-frontier drift.

@@ -100,7 +100,7 @@ class SecrankProvider(TopListProvider):
             self._smoothed[d] = score
         return self._smoothed[day]
 
-    def daily_list(self, day: int) -> RankedList:
+    def _build_daily(self, day: int) -> RankedList:
         """The Secrank list for ``day`` (smoothed votes, descending)."""
         scores = self._smoothed_votes(day)
         name_rows = np.arange(self._world.n_sites)

@@ -38,13 +38,8 @@ def site_rank_vector(world: World, name_rows: Sequence[int]) -> np.ndarray:
     ranks = np.zeros(world.n_sites, dtype=np.float64)
     position = np.arange(1, len(sites) + 1, dtype=np.float64)
     owned = sites >= 0
-    site_ids = sites[owned]
-    pos = position[owned]
-    first = np.zeros(world.n_sites, dtype=bool)
-    for site, rank in zip(site_ids, pos):
-        if not first[site]:
-            first[site] = True
-            ranks[site] = rank
+    site_ids, first = np.unique(sites[owned], return_index=True)
+    ranks[site_ids] = position[owned][first]
     return ranks
 
 
@@ -130,7 +125,7 @@ class TrancoProvider(TopListProvider):
         name_rows = np.arange(self._world.n_sites)
         return self._assemble(scores, name_rows, day=day, min_score=0.0)
 
-    def daily_list(self, day: int) -> RankedList:
+    def _build_daily(self, day: int) -> RankedList:
         """The Tranco list for ``day``: Dowdall over the trailing window."""
         days = self.window_days(day)
         vectors = [

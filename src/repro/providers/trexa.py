@@ -71,7 +71,7 @@ class TrexaProvider(TopListProvider):
         self._alexa = alexa
         self._tranco = tranco
 
-    def daily_list(self, day: int) -> RankedList:
+    def _build_daily(self, day: int) -> RankedList:
         """The Trexa list for ``day``."""
         alexa_rows = self._alexa.daily_list(day).name_rows
         tranco_rows = self._tranco.daily_list(day).name_rows

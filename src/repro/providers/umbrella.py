@@ -58,6 +58,11 @@ class UmbrellaProvider(TopListProvider):
         names = world.names
         self._fqdn_rows = names.rows_of_kind(NameKind.FQDN)
         self._fqdn_sites = names.site[self._fqdn_rows]
+        # Ties break alphabetically: rows pre-ordered by name (stable, so
+        # equal names keep row order) and ranked by a stable sort on score.
+        fqdn_names = np.array([names.strings[int(r)] for r in self._fqdn_rows])
+        self._alpha_order = np.argsort(fqdn_names, kind="stable")
+        self._alpha_rows = self._fqdn_rows[self._alpha_order]
         self._fqdn_share = names.share[self._fqdn_rows]
         self._infra_weight = names.dns_weight[self._fqdn_rows]
         # Umbrella's per-country client base.
@@ -140,7 +145,7 @@ class UmbrellaProvider(TopListProvider):
         infra = total_clients * np.minimum(1.0, self._infra_weight * 30.0)
         return unique + infra
 
-    def daily_list(self, day: int) -> RankedList:
+    def _build_daily(self, day: int) -> RankedList:
         """The Umbrella list for ``day``: FQDNs by unique querying IPs,
         integer-quantized, ties broken alphabetically."""
         expected = self._unique_clients_per_fqdn(day)
@@ -158,5 +163,5 @@ class UmbrellaProvider(TopListProvider):
             counts > 0, np.power(2.2, np.floor(np.log(counts + 1.0) / np.log(2.2))), 0.0
         )
         return self._assemble(
-            quantized, self._fqdn_rows, day=day, tie_break_alpha=True, min_score=0.0
+            quantized[self._alpha_order], self._alpha_rows, day=day, min_score=0.0
         )

@@ -121,6 +121,9 @@ DEFAULT_PORT = 8321
 #: the estimate is guesswork and a client should just poll.
 RETRY_AFTER_CAP = 30
 
+#: Response ETags remembered for the 304 fast path; oldest dropped first.
+ETAG_CACHE_CAPACITY = 256
+
 
 def dynamic_retry_after(
     base_seconds: int,
@@ -165,7 +168,6 @@ class ServeSettings:
         slow_read_seconds: store reads slower than this count as breaker
           failures (the read still serves if its payload is valid).
         lkg_capacity: bounded last-known-good cache entries.
-        list_cache_capacity: bounded (provider, day) ranked-list cache.
         default_k: ``/v1/lists`` slice size when ``?k=`` is absent.
         max_k: upper clamp for ``?k=`` (bounds response size).
         idle_timeout_seconds: per-recv read deadline on every connection
@@ -191,7 +193,6 @@ class ServeSettings:
     breaker_cooldown_seconds: float = 0.5
     slow_read_seconds: float = 0.1
     lkg_capacity: int = 64
-    list_cache_capacity: int = 64
     default_k: int = 100
     max_k: int = 1000
     idle_timeout_seconds: float = 30.0
@@ -352,8 +353,7 @@ class MetricsService:
         self._reaper_thread: Optional[threading.Thread] = None
         self._ctx: Optional[ExperimentContext] = None
         self._ctx_lock = threading.Lock()
-        self._lists_lock = threading.Lock()
-        self._lists: "OrderedDict[Tuple[str, int], object]" = OrderedDict()
+        self._build_lock = threading.Lock()
         # Degraded-ingestion state (active only when the armed fault plan
         # contains data.* rules): one shared feed so the fault log and
         # its digest span providers, one sequential stream per provider.
@@ -557,25 +557,11 @@ class MetricsService:
         resolved = self._data_resolve(provider, day)
         if resolved is not None:
             return resolved[0]
-        key = (provider, day)
-        with self._lists_lock:
-            cached = self._lists.get(key)
-            if cached is not None:
-                self._lists.move_to_end(key)
-                return cached
         ctx = self._context()
-        with self._lists_lock:
-            cached = self._lists.get(key)
-            if cached is None:
-                # Compute under the lock: providers share one traffic
-                # model, which is not guaranteed re-entrant.
-                cached = ctx.providers[provider].daily_list(day)
-                self._lists[key] = cached
-                while len(self._lists) > self.settings.list_cache_capacity:
-                    self._lists.popitem(last=False)
-            else:
-                self._lists.move_to_end(key)
-            return cached
+        # Providers memoize each (provider, day) list; build under the lock
+        # because they share one traffic model, which is not re-entrant.
+        with self._build_lock:
+            return ctx.providers[provider].daily_list(day)
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -1113,7 +1099,7 @@ class MetricsService:
         # Conditional fast path: a cached ETag means this exact
         # representation was served before, and list bodies are pure
         # functions of the config — a match answers without touching the
-        # list cache, the providers, or the store.
+        # providers or the store.
         cache_key = f"lists:{provider}:{day}:{k}"
         etag = self._cached_etag(cache_key)
         if etag is not None and _etag_matches(inm, etag):
@@ -1325,8 +1311,7 @@ class MetricsService:
         with self._etag_lock:
             self._response_etags[cache_key] = etag
             self._response_etags.move_to_end(cache_key)
-            capacity = max(16, self.settings.list_cache_capacity * 4)
-            while len(self._response_etags) > capacity:
+            while len(self._response_etags) > ETAG_CACHE_CAPACITY:
                 self._response_etags.popitem(last=False)
 
     def _not_modified(

@@ -452,46 +452,56 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Inventory, eviction, maintenance.
 
-    def _iter_files(self) -> List[Path]:
+    def _scan(self) -> List[ArtifactEntry]:
+        """Every stored artifact, unsorted: one ``os.scandir`` walk of the
+        versioned directories, dot-named (temporary) files skipped."""
         # Only versioned artifact directories count as store contents; run
         # manifests and other sidecars at the root are never evicted.
-        if not self.root.is_dir():
+        try:
+            with os.scandir(self.root) as top:
+                pending = [
+                    (child.name, child.path)
+                    for child in top
+                    if child.name.startswith("v") and child.is_dir()
+                ]
+        except OSError:
             return []
-        return [
-            path
-            for version_dir in self.root.glob("v*")
-            if version_dir.is_dir()
-            for path in version_dir.rglob("*")
-            if path.is_file() and not path.name.startswith(".")
-        ]
+        out = []
+        while pending:
+            key, path = pending.pop()
+            try:
+                with os.scandir(path) as it:
+                    children = list(it)
+            except OSError:
+                continue
+            for child in children:
+                child_key = os.path.join(key, child.name)
+                if child.is_dir(follow_symlinks=False):
+                    pending.append((child_key, child.path))
+                elif child.is_file() and not child.name.startswith("."):
+                    try:
+                        stat = child.stat()
+                    except OSError:
+                        continue
+                    out.append(ArtifactEntry(child_key, stat.st_size, stat.st_mtime))
+        return out
 
     def entries(self) -> List[ArtifactEntry]:
         """All stored artifacts, oldest (least recently used) first."""
-        out = []
-        for path in self._iter_files():
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            out.append(
-                ArtifactEntry(
-                    key=str(path.relative_to(self.root)),
-                    size=stat.st_size,
-                    mtime=stat.st_mtime,
-                )
-            )
-        out.sort(key=lambda e: (e.mtime, e.key))
-        return out
+        return sorted(self._scan(), key=lambda e: (e.mtime, e.key))
 
     def total_bytes(self) -> int:
         """Bytes currently stored."""
-        return sum(entry.size for entry in self.entries())
+        return sum(entry.size for entry in self._scan())
 
     def _evict_over_cap(self, keep: Optional[Path] = None) -> None:
         if self.max_bytes is None:
             return
-        entries = self.entries()
+        entries = self._scan()
         total = sum(entry.size for entry in entries)
+        if total <= self.max_bytes:
+            return
+        entries.sort(key=lambda e: (e.mtime, e.key))
         for entry in entries:
             if total <= self.max_bytes:
                 break

@@ -120,10 +120,11 @@ def _decode_list(provider: str, arrays: Dict[str, np.ndarray]) -> RankedList:
 class StoredProvider(TopListProvider):
     """A provider wrapper that persists published lists in the store.
 
-    The wrapped provider computes a list at most once per process; the
+    The wrapped provider builds a list at most once per process; the
     store makes that once per *cache lifetime*.  Wrapping happens at the
     registry boundary, so composite providers (Tranco, Trexa) still consume
-    their components in-process on a cold build.
+    their components in-process on a cold build, sharing the builds this
+    wrapper persists.
     """
 
     def __init__(self, inner: TopListProvider, store: ArtifactStore, cfg_key: str) -> None:
@@ -152,7 +153,7 @@ class StoredProvider(TopListProvider):
         self._store.put_arrays(self._cfg_key, artifact, _encode_list(ranked))
         return ranked
 
-    def daily_list(self, day: int) -> RankedList:
+    def _build_daily(self, day: int) -> RankedList:
         """The published list for ``day``, store-backed."""
         if not self.publishes_daily:
             # Monthly-cadence providers return the same list for any day.
@@ -161,7 +162,7 @@ class StoredProvider(TopListProvider):
             f"providers/{self.name}/day-{day:03d}", lambda: self._inner.daily_list(day)
         )
 
-    def monthly_list(self) -> RankedList:
+    def _build_monthly(self) -> RankedList:
         """The whole-window list, store-backed."""
         return self._cached_list(
             f"providers/{self.name}/monthly", self._inner.monthly_list

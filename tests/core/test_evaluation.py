@@ -16,7 +16,7 @@ class TestEvaluateDay:
             name = "oracle"
             granularity = Granularity.DOMAIN
 
-            def daily_list(self, day):
+            def _build_daily(self, day):
                 ranking = small_engine.ranking(day, "all:requests")
                 return RankedList("oracle", day, Granularity.DOMAIN, ranking)
 

@@ -125,10 +125,10 @@ class TestResume:
         # Simulate cache eviction between the runs: the manifest claims ok,
         # but the bytes are gone, so resume must not trust it.
         store = ArtifactStore(store_dir)
-        blob_path = next(
-            p for p in store._iter_files() if "results/tiny" in str(p)
+        blob_key = next(
+            e.key for e in store.entries() if "results/tiny" in e.key
         )
-        blob_path.unlink()
+        (store.root / blob_key).unlink()
         _, manifest, _ = run_experiments(
             ["tiny"], _CONFIG, cache_dir=store_dir, resume_manifest=manifest_path
         )

@@ -15,6 +15,7 @@ import pytest
 
 from repro.store import (
     SCHEMA_VERSION,
+    ArtifactEntry,
     ArtifactStore,
     config_key,
     default_cache_dir,
@@ -202,6 +203,67 @@ class TestEviction:
         assert (runs / "run-1.json").exists(), "manifests must never be evicted"
         keys = [entry.key for entry in store.entries()]
         assert all(key.startswith(f"v{SCHEMA_VERSION}/") for key in keys)
+
+
+def _pathlib_entries(store):
+    """The inventory walk ``entries()`` used before ``os.scandir``."""
+    root = store.root
+    files = [
+        path
+        for version_dir in root.glob("v*")
+        if version_dir.is_dir()
+        for path in version_dir.rglob("*")
+        if path.is_file() and not path.name.startswith(".")
+    ]
+    out = [
+        ArtifactEntry(
+            key=str(path.relative_to(root)),
+            size=path.stat().st_size,
+            mtime=path.stat().st_mtime,
+        )
+        for path in files
+    ]
+    out.sort(key=lambda e: (e.mtime, e.key))
+    return out
+
+
+class TestInventory:
+    def test_entries_match_pathlib_walk(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store", max_bytes=None)
+        names = [
+            "world/arrays",
+            "traffic/day-000",
+            "providers/umbrella/day-003",
+            "providers/crux/monthly",
+            "lists/tranco/day-3",
+            "deeply/nested/artifact/name",
+        ]
+        for i, name in enumerate(names):
+            store.put_arrays(KEY, name, {"x": np.zeros(10 * (i + 1))})
+            store.put_json("1" * 24, name, {"i": i})
+        version_dir = store.root / f"v{SCHEMA_VERSION}"
+        # Temporary files from an in-flight or torn write, a dot-named
+        # directory, and sidecars outside the versioned tree.
+        (version_dir / KEY / "traffic" / ".day-001.npz.tmp-1-abcd").write_bytes(b"x")
+        (version_dir / KEY / ".tmp-stray").write_bytes(b"xy")
+        (version_dir / ".hidden").mkdir()
+        (version_dir / ".hidden" / "kept.json").write_bytes(b"xyz")
+        (store.root / "runs").mkdir()
+        (store.root / "runs" / "run-1.json").write_text("{}")
+        (store.root / "other").mkdir()
+        (store.root / "other" / "x.npz").write_bytes(b"0")
+        for i, path in enumerate(sorted(version_dir.rglob("*.npz"))):
+            os.utime(path, (1_000_000 + i % 3, 1_000_000 + i % 3))
+
+        expected = _pathlib_entries(store)
+        assert len(expected) == 2 * len(names) + 1
+        assert store.entries() == expected
+        assert store.total_bytes() == sum(entry.size for entry in expected)
+
+    def test_missing_root_is_empty(self, tmp_path):
+        store = ArtifactStore(tmp_path / "absent")
+        assert store.entries() == []
+        assert store.total_bytes() == 0
 
 
 class TestKeys:
