@@ -19,11 +19,11 @@ Command families, all dispatched through one table in :func:`main`:
   Tranco-style rank CSV (or CrUX-style origin CSV for bucketed lists).
 * ``repro recommend`` — score every list for a study profile, per the
   paper's Section 7 guidance.
-* ``repro ranking [--k N] [--json PATH]`` — the continuous ranking
-  pipeline: stream every day through the rolling Dowdall window, prove
-  byte-identity against the batch recompute (nonzero exit on any
-  drift), and print Scheitle-style stability analytics (daily churn,
-  intersection decay, weekday periodicity) for the top-k
+* ``repro ranking [--k N] [--json PATH]`` — build Tranco's daily lists,
+  check each list's rows and score bits against the independent Dowdall
+  oracle (nonzero exit on any mismatch), and print Scheitle-style
+  stability analytics (daily churn, intersection decay, weekday
+  periodicity) for the top-k on the world's calendar
   (``repro.ranking``).
 * ``repro verify-goldens [--update]`` / ``repro verify-invariants`` — the
   regression gate: recompute every experiment's structured rows and diff
@@ -62,11 +62,11 @@ Command families, all dispatched through one table in :func:`main`:
   zero golden drift, and the fault-sequence digest must replay
   (``repro.loadgen.netchaos``).
 * ``repro chaos-data [--quick] [--seed N]`` — the degraded-data gate:
-  an in-process proof that gap-tolerant rolling ranks stay bit-identical
-  to the batch recompute under an armed data-fault plan, then a scripted
-  client mix against a data-chaos serve child; every armed ``data.*``
-  site must fire, every degraded day must be marked in ``data_health``,
-  and both fault digests must replay (``repro.loadgen.datachaos``).
+  an in-process proof that gap-tolerant Tranco windows equal the Dowdall
+  oracle over the same degraded input, then a scripted client mix
+  against a data-chaos serve child; every armed ``data.*`` site must
+  fire, every degraded day must be marked in ``data_health``, and both
+  fault digests must replay (``repro.loadgen.datachaos``).
 
 Exit codes are uniform across every command: 0 on success, 1 on
 experiment failure / golden drift / invariant violation, 2 on usage
@@ -105,6 +105,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -338,20 +339,16 @@ def _run_recommend(argv: List[str]) -> int:
 def _build_ranking_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro ranking",
-        description="Continuous ranking pipeline: fold each day into the "
-                    "rolling Dowdall window, prove bit-identity with the "
-                    "batch recompute, and report stability analytics.",
+        description="Build Tranco's daily lists, check each against the "
+                    "independent Dowdall oracle, and report stability "
+                    "analytics.",
         parents=[_world_parent(BENCH_CONFIG), _cache_parent()],
     )
     parser.add_argument("--k", type=int, default=100, metavar="N",
                         help="top-k horizon for snapshots and stability "
                              "metrics (default 100)")
-    parser.add_argument("--start-weekday", type=int, default=0,
-                        choices=range(7), metavar="0-6",
-                        help="weekday of day 0 (0=Monday) for the "
-                             "periodicity buckets (default 0)")
     parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the equivalence report and "
+                        help="also write the oracle report and "
                              "stability summary as JSON")
     parser.add_argument("--fault-plan", default=None, metavar="PATH",
                         help="also run the degraded-ingestion equivalence "
@@ -365,39 +362,59 @@ def _build_ranking_parser() -> argparse.ArgumentParser:
 
 
 def _run_ranking(argv: List[str]) -> int:
-    from repro.ranking import (
-        ContinuousTranco,
-        StabilityTracker,
-        proof_of_equivalence,
-    )
+    from repro.qa.dowdall import dowdall_oracle, matches
+    from repro.ranking import StabilityTracker
+    from repro.ranking.snapshots import canonical_bytes, snapshot_doc
 
     args = _build_ranking_parser().parse_args(argv)
     if args.k < 1:
         print(f"--k must be >= 1, got {args.k}", file=sys.stderr)
         return EXIT_USAGE
     ctx = _context_from_args(args)
-    # Unwrap the store-backed caching layer: the incremental pipeline
-    # needs the real TrancoProvider's component surface.
+    world = ctx.world
+    config = world.config
+    # Unwrap the store-backed caching layer: the check needs the real
+    # TrancoProvider's components and window scores.
     tranco = ctx.providers["tranco"]
     tranco = getattr(tranco, "inner", tranco)
 
-    report = proof_of_equivalence(tranco, k=args.k)
+    days = range(config.n_days)
+    lists = [tranco.daily_list(day) for day in days]
+    oracle = dowdall_oracle(
+        [[c.daily_list(day).name_rows.tolist() for day in days]
+         for c in tranco.components],
+        world.names.site.tolist(), config.tranco_window, config.list_length,
+    )
+    checked = []
+    for ranked, expected in zip(lists, oracle):
+        snapshot = canonical_bytes(snapshot_doc(ranked, world, k=args.k))
+        checked.append({
+            "day": ranked.day,
+            **matches(expected, ranked.name_rows.tolist(),
+                      tranco.window_scores(ranked.day).tolist()),
+            "sha256": hashlib.sha256(snapshot).hexdigest(),
+        })
+    mismatched = [entry["day"] for entry in checked
+                  if not (entry["ranks_identical"] and entry["scores_identical"])]
+    report = {
+        "provider": tranco.name,
+        "window": config.tranco_window,
+        "days_checked": len(checked),
+        "identical": not mismatched,
+        "mismatched_days": mismatched,
+        "days": checked,
+    }
     verdict = "identical" if report["identical"] else "MISMATCH"
-    print(f"[tranco incremental vs batch: {report['days_checked']} day(s), "
+    print(f"[tranco vs oracle: {report['days_checked']} day(s), "
           f"window {report['window']}: {verdict}]")
-    for entry in report["days"]:
-        marker = "ok" if entry["snapshot_identical"] else "DRIFT"
-        print(f"  day {entry['day']}: snapshot "
-              f"{entry['incremental_sha256'][:12]} "
-              f"{marker}" + (
-                  f" (batch {entry['batch_sha256'][:12]})"
-                  if not entry["snapshot_identical"] else ""
-              ))
+    for entry in checked:
+        marker = "DRIFT" if entry["day"] in mismatched else "ok"
+        print(f"  day {entry['day']}: snapshot {entry['sha256'][:12]} {marker}")
 
     tracker = StabilityTracker(args.k)
-    for ranked in ContinuousTranco(tranco).lists():
-        tracker.observe(ranked.head(args.k).strings(ctx.world))
-    summary = tracker.summary(start_weekday=args.start_weekday)
+    for ranked in lists:
+        tracker.observe(ranked.head(args.k).strings(world))
+    summary = tracker.summary(start_weekday=config.start_weekday)
     ratio = summary["weekday"]["weekend_weekday_ratio"]
     print(f"[stability @ k={args.k}: mean churn {summary['mean_churn']:.4f}, "
           f"min intersection {summary['min_intersection']:.4f}, "
@@ -414,9 +431,7 @@ def _run_ranking(argv: List[str]) -> int:
                 with open(args.fault_plan, "r", encoding="utf-8") as handle:
                     plan = FaultPlan.from_dict(json.load(handle))
             else:
-                plan = default_data_plan(
-                    args.fault_seed, ctx.world.config.n_days
-                )
+                plan = default_data_plan(args.fault_seed, config.n_days)
         except (OSError, json.JSONDecodeError, ValueError) as error:
             print(f"bad fault plan: {error}", file=sys.stderr)
             return EXIT_USAGE
@@ -425,7 +440,7 @@ def _run_ranking(argv: List[str]) -> int:
         )
         verdict = "identical" if degraded_report["ok"] else "MISMATCH"
         fired = degraded_report["sites_fired"]
-        print(f"[tranco degraded vs batch: "
+        print(f"[tranco degraded vs oracle: "
               f"{degraded_report['days_checked']} day(s), "
               f"{len(degraded_report['degraded_days'])} degraded: {verdict}]")
         print("  fires: " + (
@@ -1431,9 +1446,9 @@ def _run_chaos_data(argv: List[str]) -> int:
     from repro.loadgen.datachaos import run_chaos_data
 
     return _run_fault_gate(run_chaos_data, "repro chaos-data", (
-        "Degraded-data gate: prove the gap-tolerant rolling "
-        "aggregation bit-identical to a batch recompute under an "
-        "armed data-fault plan, then drive a scripted client mix "
+        "Degraded-data gate: prove the gap-tolerant Tranco windows "
+        "equal to the Dowdall oracle over the same degraded input "
+        "under an armed data-fault plan, then drive a scripted client mix "
         "against a data-chaos serve child. Every armed data.* site "
         "must fire, every degraded day must be marked in "
         "data_health, availability must hold >= 99%, and both "

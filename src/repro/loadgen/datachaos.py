@@ -4,12 +4,12 @@ Two stages, one verdict:
 
 * **Pipeline stage (in-process).**  A dedicated world runs
   :func:`~repro.ranking.degraded.proof_of_degraded_equivalence` under a
-  :func:`~repro.faults.plan.default_data_plan`: the gap-tolerant rolling
-  aggregation must be bit-identical to a batch recompute over the same
-  degraded input, every day whose window holds a non-clean cell must be
-  explicitly marked, fully-clean windows must match the undegraded
-  pipeline byte for byte, every armed ``data.*`` site must fire, and the
-  fault-sequence digest must replay exactly.
+  :func:`~repro.faults.plan.default_data_plan`: every gap-tolerant
+  Tranco window must equal the Dowdall oracle (:mod:`repro.qa.dowdall`)
+  over the same degraded input, every day whose window holds a
+  non-clean cell must be explicitly marked, fully-clean windows must
+  match the undegraded pipeline byte for byte, every armed ``data.*``
+  site must fire, and the fault-sequence digest must replay exactly.
 
 * **Serve stage (child process).**  A ``repro serve`` child is armed
   with a *data-only* fault plan (no store or transport chaos — degraded
@@ -186,7 +186,7 @@ def write_data_plan(seed: int, out_dir: Path, n_days: int) -> Path:
 
 
 def _run_pipeline_proof(seed: int, quick: bool) -> Dict:
-    """The in-process stage: degraded-vs-batch equivalence proof."""
+    """The in-process stage: degraded-vs-oracle equivalence proof."""
     from repro.providers.registry import build_providers
     from repro.worldgen.config import WorldConfig
     from repro.worldgen.world import build_world
@@ -262,7 +262,7 @@ def run_chaos_data(
         proof["identical"] and proof["clean_days_identical"],
         len(proof["mismatched_days"]) + len(proof["clean_mismatched_days"]),
         0.0,
-        f"{proof['days_checked']} days vs batch recompute "
+        f"{proof['days_checked']} days vs oracle "
         f"({len(proof['degraded_days'])} degraded)",
     )
     run.check(

@@ -9,11 +9,16 @@ We reimplement the algorithm faithfully over our simulated component
 lists.  Umbrella's FQDN entries are first folded to registrable domains
 (best rank wins), matching the domain-level Tranco archive the paper used
 (its Table 2 PSL deviation for Tranco is 0.0).
+
+:func:`gap_dowdall_scores` is the one Dowdall sum: the clean daily list
+and the degraded-ingestion windows (:mod:`repro.ranking.degraded`) both
+score through it, and :mod:`repro.qa.dowdall` checks it against an
+independent reference.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +26,7 @@ from repro.providers.base import Granularity, RankedList, TopListProvider
 from repro.traffic.fastpath import TrafficModel
 from repro.worldgen.world import World
 
-__all__ = ["TrancoProvider", "dowdall_scores", "site_rank_vector"]
+__all__ = ["TrancoProvider", "gap_dowdall_scores", "site_rank_vector"]
 
 
 def site_rank_vector(world: World, name_rows: Sequence[int]) -> np.ndarray:
@@ -43,22 +48,55 @@ def site_rank_vector(world: World, name_rows: Sequence[int]) -> np.ndarray:
     return ranks
 
 
-def dowdall_scores(rank_vectors: Sequence[np.ndarray], n_sites: int) -> np.ndarray:
-    """Dowdall-rule aggregation.
-
-    Args:
-        rank_vectors: per-(list, day) arrays of 1-based site ranks, with 0
-          meaning "absent from that list".
-        n_sites: universe size.
-
-    Returns:
-        Per-site total score (sum of reciprocal ranks).
-    """
+def _dowdall_scores(rank_vectors: Sequence[np.ndarray], n_sites: int) -> np.ndarray:
+    """Sum ``1/rank`` per site over ``rank_vectors``, in the given order."""
     scores = np.zeros(n_sites)
     for ranks in rank_vectors:
         present = ranks > 0
         scores[present] += 1.0 / ranks[present]
     return scores
+
+
+def gap_dowdall_scores(
+    cells: Sequence[Sequence[Optional[np.ndarray]]], n_sites: int
+) -> np.ndarray:
+    """Dowdall aggregation over one window, holes allowed.
+
+    Args:
+        cells: per component, the window's 1-based site rank vectors
+          (0 = absent) in day-ascending order, with ``None`` marking a
+          day that could not be recovered (quarantined past the
+          carry-forward bound, or retired).
+        n_sites: universe size.
+
+    The summation order is part of the definition, because float
+    addition is not associative.  A complete window sums every vector
+    into one accumulator, components outer and days ascending inner.  A
+    window with holes sums each component separately, scales a
+    component that skipped days by ``window_days / present_days`` (so it
+    is not structurally outranked by complete components), and adds the
+    components in order; a fully absent (retired) component contributes
+    nothing, leaving the survivors' mutual ordering untouched.
+    """
+    if not cells:
+        raise ValueError("need at least one component")
+    expected = len(cells[0])
+    if any(len(comp) != expected for comp in cells):
+        raise ValueError("all components must cover the same window days")
+    if expected == 0:
+        raise ValueError("empty window")
+    if all(v is not None for comp in cells for v in comp):
+        return _dowdall_scores([v for comp in cells for v in comp], n_sites)
+    total = np.zeros(n_sites)
+    for comp in cells:
+        present = [v for v in comp if v is not None]
+        if not present:
+            continue
+        scores = _dowdall_scores(present, n_sites)
+        if len(present) < expected:
+            scores = scores * (float(expected) / float(len(present)))
+        total = total + scores
+    return total
 
 
 class TrancoProvider(TopListProvider):
@@ -83,6 +121,8 @@ class TrancoProvider(TopListProvider):
         if not components:
             raise ValueError("Tranco needs at least one component list")
         self._components = tuple(components)
+        # (component, day) -> folded rank vector: at most components x
+        # n_days entries, the bound of the daily_list memos it folds.
         self._rank_cache: Dict[tuple, np.ndarray] = {}
 
     @property
@@ -109,29 +149,21 @@ class TrancoProvider(TopListProvider):
         window = self._world.config.tranco_window
         return range(max(0, day - window + 1), day + 1)
 
-    def component_day_ranks(self, day: int) -> List[np.ndarray]:
-        """One rank vector per component for a single ``day``, in canonical
-        component order.
-
-        This is the per-day unit of work the incremental pipeline
-        (:mod:`repro.ranking`) folds into its rolling window: everything a
-        new day contributes to the aggregation, and nothing older.
-        """
-        return [self._component_site_ranks(p, day) for p in self._components]
-
     def assemble_scores(self, scores: np.ndarray, day: int) -> RankedList:
         """Turn a per-site Dowdall score vector into the ranked list for
-        ``day``, using the same ordering/truncation rules as the batch path."""
+        ``day``: score descending, ties by site id, ``list_length`` long."""
         name_rows = np.arange(self._world.n_sites)
         return self._assemble(scores, name_rows, day=day, min_score=0.0)
 
+    def window_scores(self, day: int) -> np.ndarray:
+        """Per-site Dowdall scores of the clean window ending at ``day``."""
+        window = self.window_days(day)
+        cells = [
+            [self._component_site_ranks(provider, d) for d in window]
+            for provider in self._components
+        ]
+        return gap_dowdall_scores(cells, self._world.n_sites)
+
     def _build_daily(self, day: int) -> RankedList:
         """The Tranco list for ``day``: Dowdall over the trailing window."""
-        days = self.window_days(day)
-        vectors = [
-            self._component_site_ranks(provider, d)
-            for provider in self._components
-            for d in days
-        ]
-        scores = dowdall_scores(vectors, self._world.n_sites)
-        return self.assemble_scores(scores, day)
+        return self.assemble_scores(self.window_scores(day), day)

@@ -1,21 +1,14 @@
-"""Continuous ranking: incremental daily lists with stability analytics.
+"""Continuous ranking: daily list snapshots with stability analytics.
 
-Batch list production (``TrancoProvider.daily_list``) recomputes the full
-30-day Dowdall aggregation for every day served.  This package turns list
-production into a streaming pipeline: each day's provider updates are
-folded into a rolling window (day *t* in, day *t - window* out), so the
-expensive per-day work — producing the component lists — happens exactly
-once per day, and emitting day *t*'s list touches only cached window
-state.
+Tranco's daily list (``TrancoProvider.daily_list``) is the Dowdall sum
+of its components' lists over a trailing 30-day window, computed by
+:func:`~repro.providers.tranco.gap_dowdall_scores` — the one Dowdall in
+the code base.  ``repro ranking`` builds each day's list once and checks
+its rows and score bits against :mod:`repro.qa.dowdall`, an independent
+reference that shares no code with this package or ``providers/``.
 
-The rolling accumulator is constructed so its output is **bit-identical**
-to the batch recompute (see :class:`RollingDowdall` for the float
-ordering argument), and :func:`proof_of_equivalence` checks that claim
-day by day against the batch path, down to the bytes of the canonical
-JSON snapshots.
-
-On top of the stream sit the Scheitle-style stability metrics ("A Long
-Way to the Top" / "Structure and Stability of Internet Top Lists"):
+On top of the daily lists sit the Scheitle-style stability metrics ("A
+Long Way to the Top" / "Structure and Stability of Internet Top Lists"):
 daily rank churn, top-k intersection decay, and weekday periodicity,
 computed incrementally as each day lands (:class:`StabilityTracker`).
 
@@ -25,23 +18,18 @@ snapshots (strong ETags + ``If-None-Match``), rank diffs
 (``/v1/lists/<provider>/stability``).
 
 Because real providers are messy (the paper's core premise — and Alexa
-retired mid-study), the pipeline also has a degraded twin: days arrive
-through a fault-armed :class:`DegradedFeed`, each component's
-:class:`IngestGate` classifies them clean / repaired / quarantined
+retired mid-study), days can also arrive through a fault-armed
+:class:`DegradedFeed`: each provider's :class:`ProviderStream` runs an
+:class:`IngestGate` that classifies days clean / repaired / quarantined
 against its :class:`ProviderContract`, gaps resolve by bounded
-carry-forward or window-shrink re-normalization
-(:func:`gap_dowdall_scores`), and every emission carries a
-``data_health`` block.  :func:`proof_of_degraded_equivalence` holds the
-degraded stream to the same bit-identity bar as the clean one.
+carry-forward or window-shrink re-normalization, and every emission
+carries a ``data_health`` block.  :class:`DegradedTranco` iterates
+Tranco's windows over those streams, and
+:func:`proof_of_degraded_equivalence` holds every degraded window to the
+same oracle as the clean lists.
 """
 
 from repro.ranking.degraded import DegradedTranco, proof_of_degraded_equivalence
-from repro.ranking.incremental import (
-    ContinuousTranco,
-    RollingDowdall,
-    gap_dowdall_scores,
-    proof_of_equivalence,
-)
 from repro.ranking.ingest import (
     DegradedFeed,
     GapPolicy,
@@ -54,20 +42,16 @@ from repro.ranking.snapshots import diff_ranked, snapshot_doc, snapshot_etag
 from repro.ranking.stability import StabilityTracker
 
 __all__ = [
-    "ContinuousTranco",
     "DegradedFeed",
     "DegradedTranco",
     "GapPolicy",
     "IngestGate",
     "ProviderContract",
     "ProviderStream",
-    "RollingDowdall",
     "StabilityTracker",
     "contract_for",
     "diff_ranked",
-    "gap_dowdall_scores",
     "proof_of_degraded_equivalence",
-    "proof_of_equivalence",
     "snapshot_doc",
     "snapshot_etag",
 ]

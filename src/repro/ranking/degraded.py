@@ -1,122 +1,90 @@
-"""Gap-tolerant continuous Tranco over a degraded provider feed.
+"""Tranco's windows over a degraded provider feed.
 
-The degraded twin of :class:`repro.ranking.incremental.ContinuousTranco`:
-component days arrive through a :class:`~repro.ranking.ingest.DegradedFeed`
+Component days arrive through a :class:`~repro.ranking.ingest.DegradedFeed`
 (so they can be missing, repeated, truncated, duplicated, drifted, or
-retired), pass each component's :class:`~repro.ranking.ingest.IngestGate`,
-and fold into a :class:`~repro.ranking.incremental.RollingDowdall` that
-understands unrecoverable holes.  Every emitted snapshot carries a
-``data_health`` block computed from the ingest ledger — a degraded day
-can never share bytes (or an ETag) with a clean one.
+retired) and resolve through one :class:`~repro.ranking.ingest.ProviderStream`
+per component — the ingest unit ``repro serve`` uses — so the pipeline
+and the service classify days through one code path.  Each emitted
+window scores the ledger's resolved rows with
+:func:`~repro.providers.tranco.gap_dowdall_scores` and carries a
+``data_health`` block computed from the same ledger: a degraded day can
+never share bytes (or an ETag) with a clean one.
 
-:func:`proof_of_degraded_equivalence` is the acceptance check: the
-rolling emission must be bit-identical to a batch recompute over the
-*same degraded input* (the ledger's resolved cells), every day whose
-window holds a non-clean cell must be explicitly marked, days whose
-window is entirely clean must match the undegraded batch pipeline
-bit-for-bit, and the fault-sequence digest must equal its in-run replay.
+:func:`proof_of_degraded_equivalence` is the acceptance check: every
+emission must equal the independent oracle (:mod:`repro.qa.dowdall`)
+over the *same degraded input*, every day whose window holds a non-clean
+cell must be explicitly marked, days whose window is entirely clean must
+match the undegraded ``daily_list``, and the fault-sequence digest must
+equal its in-run replay.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.faults.plan import DATA_SITES, FaultPlan
 from repro.providers.base import RankedList
-from repro.providers.tranco import TrancoProvider, site_rank_vector
-from repro.ranking.incremental import RollingDowdall, gap_dowdall_scores
-from repro.ranking.ingest import (
-    DegradedFeed,
-    GapPolicy,
-    IngestGate,
-    contract_for,
-)
+from repro.providers.tranco import TrancoProvider, gap_dowdall_scores, site_rank_vector
+from repro.ranking.ingest import DegradedFeed, ProviderStream
 from repro.ranking.snapshots import canonical_bytes, snapshot_doc
 
 __all__ = ["DegradedTranco", "proof_of_degraded_equivalence"]
 
 
 class DegradedTranco:
-    """Streams a Tranco aggregation over fault-degraded component feeds."""
+    """Iterates Tranco's windows over fault-degraded component streams."""
 
-    def __init__(
-        self,
-        tranco: TrancoProvider,
-        plan: Optional[FaultPlan],
-        policy: Optional[GapPolicy] = None,
-        feed: Optional[DegradedFeed] = None,
-    ) -> None:
+    def __init__(self, tranco: TrancoProvider, plan: Optional[FaultPlan]) -> None:
         self._tranco = tranco
-        world = tranco.world
-        self._world = world
-        self.policy = policy or GapPolicy()
-        self.feed = feed if feed is not None else DegradedFeed(
-            {c.name: c for c in tranco.components}, plan
-        )
-        self.gates: Dict[str, IngestGate] = {
-            c.name: IngestGate(
-                contract_for(c, world,
-                             truncation_floor=self.policy.truncation_floor),
-                self.policy,
-            )
+        self.feed = DegradedFeed({c.name: c for c in tranco.components}, plan)
+        self.streams: Dict[str, ProviderStream] = {
+            c.name: ProviderStream(c, tranco.world, self.feed)
             for c in tranco.components
         }
-        self._rolling = RollingDowdall(
-            n_sites=world.n_sites,
-            window=world.config.tranco_window,
-            n_components=len(tranco.components),
-        )
-        #: (component name, day) -> resolved rank vector or None (hole).
-        #: This ledger of cells *is* the degraded input the batch twin
-        #: recomputes from.
-        self.cells: Dict[Tuple[str, int], Optional[np.ndarray]] = {}
         self._next_day = 0
 
     @property
     def next_day(self) -> int:
         return self._next_day
 
-    @property
-    def component_names(self) -> List[str]:
-        return [c.name for c in self._tranco.components]
+    def ledger_rows(self) -> List[List[Optional[Tuple[int, ...]]]]:
+        """Per component, the rows each resolved day feeds the window,
+        day-ascending from day 0 (None = unrecoverable hole or retired)."""
+        return [
+            [record.rows for record in stream.gate.records]
+            for stream in self.streams.values()
+        ]
 
-    def advance(self) -> Tuple[RankedList, Dict]:
-        """Ingest the next day for every component and emit its list."""
+    def advance(self) -> Tuple[RankedList, np.ndarray, Dict]:
+        """Resolve the next day on every stream and emit its window: the
+        ranked list, its per-site Dowdall scores, and ``data_health``."""
         day = self._next_day
-        vectors: List[Optional[np.ndarray]] = []
-        for component in self._tranco.components:
-            doc, injected = self.feed.fetch(component.name, day)
-            record = self.gates[component.name].ingest(
-                day, doc, injected=injected
-            )
-            if record.rows is not None:
-                vector: Optional[np.ndarray] = site_rank_vector(
-                    self._world, record.rows
-                )
-            else:
-                vector = None
-            self.cells[(component.name, day)] = vector
-            vectors.append(vector)
-        self._rolling.fold_in(day, vectors)
+        for stream in self.streams.values():
+            stream.resolve(day)
         self._next_day = day + 1
-        ranked = self._tranco.assemble_scores(self._rolling.scores(), day)
-        return ranked, self.window_health(day)
+        world = self._tranco.world
+        window = self._tranco.window_days(day)
+        cells = [
+            [None if days[d] is None else site_rank_vector(world, days[d])
+             for d in window]
+            for days in self.ledger_rows()
+        ]
+        scores = gap_dowdall_scores(cells, world.n_sites)
+        ranked = self._tranco.assemble_scores(scores, day)
+        return ranked, scores, self.window_health(day)
 
     def window_health(self, day: int) -> Dict:
-        """The ``data_health`` block for the emission of ``day``.
-
-        A pure function of the ingest ledger over the aggregation window,
-        so the batch twin reproduces it from the same records.
-        """
+        """The ``data_health`` block for the emission of ``day``: a pure
+        function of the ingest ledger over the aggregation window."""
         window = list(self._tranco.window_days(day))
         components: Dict[str, Dict] = {}
         counts = {"clean": 0, "repaired": 0, "carried_forward": 0,
                   "unrecoverable": 0, "retired": 0}
-        for name in self.component_names:
-            gate = self.gates[name]
+        for name, stream in self.streams.items():
+            gate = stream.gate
             in_window = [gate.records[d] for d in window]
             today = in_window[-1]
             window_counts: Dict[str, int] = {}
@@ -134,8 +102,8 @@ class DegradedTranco:
         degraded = (counts["repaired"] + counts["carried_forward"]
                     + counts["unrecoverable"] + counts["retired"]) > 0
         quarantined_total = sum(
-            1 for gate in self.gates.values()
-            for record in gate.records if record.status == "quarantined"
+            1 for stream in self.streams.values()
+            for record in stream.gate.records if record.status == "quarantined"
         )
         return {
             "degraded": degraded,
@@ -150,76 +118,57 @@ def proof_of_degraded_equivalence(
     tranco: TrancoProvider,
     plan: FaultPlan,
     *,
-    days: Optional[Sequence[int]] = None,
     k: Optional[int] = None,
-    policy: Optional[GapPolicy] = None,
 ) -> Dict:
     """Prove (or refute) the degraded-pipeline invariants.
 
-    Runs :class:`DegradedTranco` from day 0 through the last requested
-    day and checks, per requested day:
+    Runs :class:`DegradedTranco` over every world day and checks, per day:
 
-    * **equivalence** — raw score bits, ranked rows, and canonical
-      snapshot bytes (``data_health`` included) match a batch recompute
-      over the ledger's resolved cells for the same window;
+    * **equivalence** — score bits and ranked rows equal the oracle
+      (:func:`repro.qa.dowdall.dowdall_oracle`) over the ledger's rows;
     * **marking** — ``data_health.degraded`` is True exactly when the
       window holds a non-clean cell (zero silent corruption);
-    * **clean-path identity** — days whose window is entirely clean are
-      bit-identical to the undegraded batch ``daily_list``.
+    * **clean-path identity** — days whose window is entirely clean rank
+      exactly like the undegraded ``daily_list``.
 
     Plus, per run: every armed ``data.*`` site fired, and the feed's
     fault-sequence digest equals its in-run replay.
     """
+    # Imported here so loading the serve path never loads repro.qa.
+    from repro.qa.dowdall import dowdall_oracle, matches
+
     world = tranco.world
-    if days is None:
-        days = range(world.config.n_days)
-    wanted = sorted(set(int(d) for d in days))
-    if not wanted:
-        raise ValueError("no days to verify")
-    if wanted[0] < 0:
-        raise ValueError("days must be >= 0")
-    pipeline = DegradedTranco(tranco, plan, policy=policy)
-    names = pipeline.component_names
+    pipeline = DegradedTranco(tranco, plan)
+    emitted = [pipeline.advance() for _ in range(world.config.n_days)]
+    oracle = dowdall_oracle(
+        pipeline.ledger_rows(), world.names.site.tolist(),
+        world.config.tranco_window, world.config.list_length,
+    )
     checked: List[Dict] = []
     mismatches: List[int] = []
     marking_errors: List[int] = []
     clean_mismatches: List[int] = []
     degraded_days: List[int] = []
     clean_days: List[int] = []
-    for day in range(wanted[-1] + 1):
-        ranked, health = pipeline.advance()
-        if day not in wanted:
-            continue
-        window = list(tranco.window_days(day))
-        cells = [
-            [pipeline.cells[(name, d)] for d in window] for name in names
-        ]
-        batch_scores = gap_dowdall_scores(cells, world.n_sites)
-        batch_ranked = tranco.assemble_scores(batch_scores, day)
-        batch_health = pipeline.window_health(day)
-        rolling_scores = pipeline._rolling.scores()
-        inc_doc = snapshot_doc(ranked, world, k=k, data_health=health)
-        batch_doc = snapshot_doc(batch_ranked, world, k=k,
-                                 data_health=batch_health)
-        inc_bytes = canonical_bytes(inc_doc)
-        batch_bytes = canonical_bytes(batch_doc)
+    for day, ((ranked, scores, health), expected) in enumerate(
+        zip(emitted, oracle)
+    ):
+        snapshot = canonical_bytes(
+            snapshot_doc(ranked, world, k=k, data_health=health)
+        )
         window_clean = all(
-            pipeline.gates[name].records[d].resolution == "clean"
-            for name in names for d in window
+            stream.gate.records[d].resolution == "clean"
+            for stream in pipeline.streams.values()
+            for d in tranco.window_days(day)
         )
         entry = {
             "day": day,
-            "scores_identical":
-                rolling_scores.tobytes() == batch_scores.tobytes(),
-            "ranks_identical":
-                np.array_equal(ranked.name_rows, batch_ranked.name_rows),
-            "snapshot_identical": inc_bytes == batch_bytes,
-            "sha256": hashlib.sha256(inc_bytes).hexdigest(),
+            **matches(expected, ranked.name_rows.tolist(), scores.tolist()),
+            "sha256": hashlib.sha256(snapshot).hexdigest(),
             "degraded": health["degraded"],
             "window_clean": window_clean,
         }
-        if not (entry["scores_identical"] and entry["ranks_identical"]
-                and entry["snapshot_identical"]):
+        if not (entry["scores_identical"] and entry["ranks_identical"]):
             mismatches.append(day)
         # Zero silent corruption: marked if and only if the window holds
         # a non-clean cell, checked from the ledger, not from the block.
@@ -227,12 +176,11 @@ def proof_of_degraded_equivalence(
             marking_errors.append(day)
         if window_clean:
             clean_days.append(day)
-            batch_clean = tranco.daily_list(day)
-            if not np.array_equal(ranked.name_rows, batch_clean.name_rows):
+            entry["clean_identical"] = np.array_equal(
+                ranked.name_rows, tranco.daily_list(day).name_rows
+            )
+            if not entry["clean_identical"]:
                 clean_mismatches.append(day)
-                entry["clean_identical"] = False
-            else:
-                entry["clean_identical"] = True
         else:
             degraded_days.append(day)
         checked.append(entry)

@@ -38,6 +38,7 @@ __all__ = [
     "WIRE_SCHEMA",
     "LEGACY_WIRE_SCHEMA",
     "DEFAULT_TRUNCATE_FRACTION",
+    "TRUNCATION_FLOOR",
     "GapPolicy",
     "DayRecord",
     "ProviderContract",
@@ -62,6 +63,11 @@ LEGACY_WIRE_SCHEMA = "repro/day-list/0"
 #: List fraction kept by ``data.day.truncated`` when the firing rule
 #: carries no explicit ``fraction``.
 DEFAULT_TRUNCATE_FRACTION = 0.4
+
+#: Minimum fraction of a provider's learned publication length an
+#: arriving day must reach to be repairable; shorter days are
+#: quarantined as ``truncated``.
+TRUNCATION_FLOOR = 0.5
 
 
 def wire_doc(provider: str, day: int, granularity: str,
@@ -101,21 +107,13 @@ class GapPolicy:
           be carried forward (with a growing staleness age) before the
           gap becomes an unrecoverable hole and the aggregation window
           re-normalizes around it.
-        truncation_floor: minimum fraction of the provider's learned
-          publication length an arriving day must reach to be repairable;
-          shorter days are quarantined as ``truncated``.
     """
 
     max_carry: int = 3
-    truncation_floor: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_carry < 0:
             raise ValueError(f"max_carry must be >= 0, got {self.max_carry}")
-        if not 0.0 < self.truncation_floor <= 1.0:
-            raise ValueError(
-                f"truncation_floor must be in (0, 1], got {self.truncation_floor}"
-            )
 
 
 @dataclass(frozen=True)
@@ -166,8 +164,7 @@ class ProviderContract:
     """
 
     def __init__(self, provider: str, granularity: str, n_rows: int,
-                 max_length: int,
-                 truncation_floor: float = GapPolicy.truncation_floor) -> None:
+                 max_length: int) -> None:
         if n_rows < 1:
             raise ValueError("contract needs a non-empty name table")
         if max_length < 1:
@@ -176,7 +173,6 @@ class ProviderContract:
         self.granularity = granularity
         self.n_rows = n_rows
         self.max_length = max_length
-        self.truncation_floor = truncation_floor
 
     def classify(
         self,
@@ -250,7 +246,7 @@ class ProviderContract:
             rows = rows[: self.max_length]
             repairs.append("overlong")
         if reference_length is not None and len(rows) < reference_length:
-            if len(rows) < self.truncation_floor * reference_length:
+            if len(rows) < TRUNCATION_FLOOR * reference_length:
                 return quarantined("truncated")
             repairs.append("short_day")
         if previous_rows is not None and tuple(rows) == previous_rows:
@@ -259,16 +255,13 @@ class ProviderContract:
         return status, tuple(rows), tuple(reasons), tuple(repairs)
 
 
-def contract_for(provider: TopListProvider, world: World,
-                 truncation_floor: float = GapPolicy.truncation_floor
-                 ) -> ProviderContract:
+def contract_for(provider: TopListProvider, world: World) -> ProviderContract:
     """The contract a simulated provider's published days must satisfy."""
     return ProviderContract(
         provider=provider.name,
         granularity=provider.granularity,
         n_rows=len(world.names.strings),
         max_length=world.config.list_length,
-        truncation_floor=truncation_floor,
     )
 
 
@@ -525,17 +518,10 @@ class ProviderStream:
     """
 
     def __init__(self, provider: TopListProvider, world: World,
-                 feed: DegradedFeed,
-                 policy: Optional[GapPolicy] = None) -> None:
+                 feed: DegradedFeed) -> None:
         self._provider = provider
-        self._world = world
         self._feed = feed
-        policy = policy or GapPolicy()
-        self._gate = IngestGate(
-            contract_for(provider, world,
-                         truncation_floor=policy.truncation_floor),
-            policy,
-        )
+        self._gate = IngestGate(contract_for(provider, world))
         self._resolved: List[Tuple[RankedList, Dict]] = []
         self._last_served: Optional[RankedList] = None
 

@@ -139,7 +139,7 @@ class StoredProvider(TopListProvider):
     @property
     def inner(self) -> TopListProvider:
         """The wrapped provider (for callers that need its full surface,
-        e.g. the incremental ranking pipeline over Tranco components)."""
+        e.g. ``repro ranking``'s oracle check over Tranco's components)."""
         return self._inner
 
     def _cached_list(self, artifact: str, compute) -> RankedList:

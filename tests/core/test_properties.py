@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.buckets import assign_buckets
 from repro.core.similarity import jaccard_index
-from repro.providers.tranco import dowdall_scores
+from repro.providers.tranco import gap_dowdall_scores
 from repro.providers.trexa import interleave_rankings
 
 
@@ -21,7 +21,7 @@ class TestDowdallProperties:
     @settings(max_examples=50)
     def test_scores_nonnegative_and_bounded(self, rank_lists):
         vectors = [np.asarray(r, dtype=float) for r in rank_lists]
-        scores = dowdall_scores(vectors, 5)
+        scores = gap_dowdall_scores([vectors], 5)
         assert (scores >= 0).all()
         # Max possible: rank 1 in every vector.
         assert (scores <= len(vectors) + 1e-9).all()
@@ -30,19 +30,19 @@ class TestDowdallProperties:
     @settings(max_examples=20)
     def test_better_ranks_score_higher(self, n):
         ranks = np.arange(1, n + 1, dtype=float)
-        scores = dowdall_scores([ranks], n)
+        scores = gap_dowdall_scores([[ranks]], n)
         assert (np.diff(scores) <= 0).all()
 
     def test_absent_contributes_nothing(self):
-        scores = dowdall_scores([np.array([0.0, 1.0])], 2)
+        scores = gap_dowdall_scores([[np.array([0.0, 1.0])]], 2)
         assert scores[0] == 0.0
         assert scores[1] == 1.0
 
     def test_additive_over_lists(self):
         a = np.array([1.0, 2.0])
         b = np.array([2.0, 1.0])
-        combined = dowdall_scores([a, b], 2)
-        separate = dowdall_scores([a], 2) + dowdall_scores([b], 2)
+        combined = gap_dowdall_scores([[a, b]], 2)
+        separate = gap_dowdall_scores([[a]], 2) + gap_dowdall_scores([[b]], 2)
         assert np.allclose(combined, separate)
 
 

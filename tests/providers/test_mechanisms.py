@@ -118,11 +118,11 @@ class TestTranco:
         assert tranco_sites <= component_sites
 
     def test_dowdall_scores(self):
-        from repro.providers.tranco import dowdall_scores
+        from repro.providers.tranco import gap_dowdall_scores
 
         ranks_a = np.array([1.0, 2.0, 0.0])  # site 2 absent
         ranks_b = np.array([2.0, 1.0, 3.0])
-        scores = dowdall_scores([ranks_a, ranks_b], 3)
+        scores = gap_dowdall_scores([[ranks_a, ranks_b]], 3)
         assert scores[0] == pytest.approx(1.0 + 0.5)
         assert scores[1] == pytest.approx(0.5 + 1.0)
         assert scores[2] == pytest.approx(1.0 / 3.0)

@@ -1,5 +1,5 @@
-"""A tiny world with a short Tranco window, so incremental-vs-batch
-equivalence runs over several full window rolls in test time."""
+"""A tiny world with a short Tranco window, so the oracle checks run
+over several full window rolls in test time."""
 
 from __future__ import annotations
 

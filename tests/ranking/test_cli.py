@@ -1,10 +1,14 @@
-"""``repro ranking``: equivalence verdict drives the exit code."""
+"""``repro ranking``: the oracle verdict drives the exit code."""
 
 from __future__ import annotations
 
 import json
 
 from repro.cli import main
+from repro.providers.registry import build_providers
+from repro.ranking import StabilityTracker
+from repro.worldgen.config import WorldConfig
+from repro.worldgen.world import build_world
 
 _WORLD_ARGS = ["--sites", "400", "--days", "4", "--seed", "11"]
 
@@ -31,3 +35,20 @@ class TestRankingCommand:
         code = main(["ranking", "--k", "0", *_WORLD_ARGS, "--no-cache"])
         capsys.readouterr()
         assert code == 2
+
+    def test_stability_uses_the_world_calendar(self, tmp_path, capsys):
+        report_path = tmp_path / "ranking.json"
+        code = main([
+            "ranking", "--sites", "400", "--days", "8", "--seed", "11",
+            "--k", "25", "--no-cache", "--json", str(report_path),
+        ])
+        capsys.readouterr()
+        assert code == 0
+        world = build_world(WorldConfig(n_sites=400, n_days=8, seed=11))
+        tranco = build_providers(world)["tranco"]
+        tracker = StabilityTracker(25)
+        for day in range(world.config.n_days):
+            tracker.observe(tranco.daily_list(day).head(25).strings(world))
+        expected = tracker.summary(start_weekday=world.config.start_weekday)
+        report = json.loads(report_path.read_text())
+        assert report["stability"] == json.loads(json.dumps(expected))
