@@ -60,6 +60,8 @@ class CdnMetricEngine:
         self._cf_mask = world.sites.cf_served
         self._cf_sites = world.sites.cf_indices()
         self._day_cache: Dict[int, Dict[str, np.ndarray]] = {}
+        # (day, combo) -> read-only ranking, dropped with its day.
+        self._rankings: Dict[Tuple[int, str], np.ndarray] = {}
         #: Optional artifact-store hooks (see :mod:`repro.store.serialize`):
         #: a loader returning all 21 combination arrays for a day, and a
         #: saver invoked after a day is computed.
@@ -223,12 +225,17 @@ class CdnMetricEngine:
 
         Ties break toward the truly more popular site (lower index), the
         tie-break a real log pipeline's stable sort would produce when keys
-        collide.
+        collide.  Each ranking is built once and shared read-only.
         """
-        counts = self.day_counts(day, combos=(combo,))[combo]
-        cf_counts = counts[self._cf_sites]
-        order = np.argsort(-cf_counts, kind="stable")
-        return self._cf_sites[order]
+        ranked = self._rankings.get((day, combo))
+        if ranked is None:
+            obs.count("cdn.rankings_built")
+            counts = self.day_counts(day, combos=(combo,))[combo]
+            order = np.argsort(-counts[self._cf_sites], kind="stable")
+            ranked = self._cf_sites[order]
+            ranked.flags.writeable = False
+            self._rankings[(day, combo)] = ranked
+        return ranked
 
     def top(self, day: int, combo: str, k: int) -> np.ndarray:
         """The top-``k`` Cloudflare sites under a metric on ``day``."""
@@ -254,9 +261,14 @@ class CdnMetricEngine:
         return self._cf_sites[order]
 
     def drop_cache(self, days: Optional[Iterable[int]] = None) -> None:
-        """Evict cached day tensors (memory control for long sweeps)."""
+        """Evict cached day tensors and their rankings (memory control for
+        long sweeps)."""
         if days is None:
             self._day_cache.clear()
+            self._rankings.clear()
         else:
-            for day in days:
+            dropped = set(days)
+            for day in dropped:
                 self._day_cache.pop(day, None)
+            for key in [key for key in self._rankings if key[0] in dropped]:
+                del self._rankings[key]

@@ -18,6 +18,7 @@ Daily results are averaged over the configured window, as in the paper
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.cdn.metrics import CdnMetricEngine
 from repro.core.normalize import NormalizedList, normalize_list
-from repro.core.similarity import jaccard_index, rank_correlation_of_lists
+from repro.core.similarity import overlap, rank_correlation_of_lists
 from repro.providers.base import TopListProvider
 from repro.worldgen.world import World
 
@@ -85,7 +86,9 @@ class CloudflareEvaluator:
         self._world = world
         self._engine = engine
         self._cf = cf_served if cf_served is not None else world.sites.cf_served
-        self._norm_cache: Dict[tuple, NormalizedList] = {}
+        # provider -> {day: normalized list}; weak, so a freed provider's
+        # entries go with it and never answer for a newer one.
+        self._norm_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     @property
     def engine(self) -> CdnMetricEngine:
@@ -95,15 +98,15 @@ class CloudflareEvaluator:
     def normalized(self, provider: TopListProvider, day: int) -> NormalizedList:
         """The provider's normalized list for ``day`` (cached).
 
-        Keyed by provider *identity*, not name: two differently configured
-        instances of the same list (e.g. an attacked and a clean Alexa)
-        must not share cache entries.
+        Keyed by the provider object, not its name: two differently
+        configured instances of the same list (e.g. an attacked and a
+        clean Alexa) must not share cache entries.
         """
-        key = (id(provider), day if provider.publishes_daily else None)
-        cached = self._norm_cache.get(key)
+        by_day = self._norm_cache.setdefault(provider, {})
+        key = day if provider.publishes_daily else None
+        cached = by_day.get(key)
         if cached is None:
-            cached = normalize_list(self._world, provider.daily_list(day))
-            self._norm_cache[key] = cached
+            cached = by_day[key] = normalize_list(self._world, provider.daily_list(day))
         return cached
 
     def cloudflare_slice(
@@ -127,12 +130,12 @@ class CloudflareEvaluator:
         n = len(list_side)
         cf_side = self._engine.top(day, combo, n)
 
-        jj = jaccard_index(list_side, cf_side)
+        intersection, union = overlap(list_side, cf_side)
+        jj = intersection / union if union else 1.0
         if normalized.is_bucketed or n < 2:
             rho = float("nan")
         else:
             rho = rank_correlation_of_lists(list_side, cf_side).rho
-        intersection = len(set(list_side.tolist()) & set(cf_side.tolist()))
         return DayEvaluation(jaccard=jj, spearman=rho, n=n, intersection=intersection)
 
     def evaluate_month(

@@ -24,6 +24,7 @@ import numpy as np
 from repro.providers.base import RankedList
 from repro.weblib.domains import is_valid_hostname, parse_origin
 from repro.weblib.psl import PublicSuffixList, default_psl
+from repro.worldgen.nametable import NameTable
 from repro.worldgen.world import World
 
 __all__ = [
@@ -163,7 +164,7 @@ def _entry_host(entry: str) -> Optional[str]:
     entry = entry.strip().lower()
     if not entry:
         return None
-    if any(ord(c) > 127 for c in entry):
+    if not entry.isascii():
         # Real lists carry IDN entries; fold them to ACE form first.
         from repro.weblib.idna import IdnaError, to_ascii
 
@@ -181,6 +182,18 @@ def _entry_host(entry: str) -> Optional[str]:
     return entry
 
 
+def _deviates(entry: str, psl: PublicSuffixList) -> bool:
+    """Whether one raw entry is not already a registrable domain (an
+    entry with no valid host deviates)."""
+    host = _entry_host(entry)
+    if host is None:
+        return True
+    try:
+        return psl.deviates_from_registrable(host)
+    except ValueError:
+        return True
+
+
 def psl_deviation_fraction(
     entries: Sequence[str], psl: Optional[PublicSuffixList] = None
 ) -> float:
@@ -195,18 +208,20 @@ def psl_deviation_fraction(
     psl = psl if psl is not None else default_psl()
     if not entries:
         return 0.0
-    deviating = 0
-    for entry in entries:
-        host = _entry_host(entry)
-        if host is None:
-            deviating += 1
-            continue
-        try:
-            if psl.deviates_from_registrable(host):
-                deviating += 1
-        except ValueError:
-            deviating += 1
-    return deviating / len(entries)
+    return sum(_deviates(entry, psl) for entry in entries) / len(entries)
+
+
+def _deviating_rows(
+    names: NameTable, rows: np.ndarray, psl: PublicSuffixList
+) -> np.ndarray:
+    """Per row, 1 when its string deviates under ``psl``, else 0.  Each
+    name-table row is classified once per table and PSL."""
+    memo = names.psl_deviation.get(psl)
+    if memo is None:
+        memo = names.psl_deviation[psl] = np.full(len(names), -1, dtype=np.int8)
+    for row in np.unique(rows[memo[rows] < 0]).tolist():
+        memo[row] = _deviates(names.strings[row], psl)
+    return memo[rows]
 
 
 def deviation_by_magnitude(
@@ -215,9 +230,16 @@ def deviation_by_magnitude(
     magnitudes: Sequence[int],
     psl: Optional[PublicSuffixList] = None,
 ) -> Dict[int, float]:
-    """Table 2: PSL deviation of a list's raw entries at each magnitude."""
+    """Table 2: PSL deviation of a list's raw entries at each magnitude.
+
+    Classifies each row of the longest prefix once, then reads every
+    magnitude off one running count.
+    """
+    psl = psl if psl is not None else default_psl()
+    rows = np.asarray(ranked.name_rows[: max(magnitudes, default=0)], dtype=np.int64)
+    deviating = [0] + np.cumsum(_deviating_rows(world.names, rows, psl)).tolist()
     out: Dict[int, float] = {}
-    strings = ranked.strings(world)
     for magnitude in magnitudes:
-        out[magnitude] = psl_deviation_fraction(strings[:magnitude], psl=psl)
+        n = min(magnitude, len(rows))
+        out[magnitude] = deviating[n] / n if n else 0.0
     return out

@@ -17,13 +17,14 @@ in the test suite.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import stdtr
 
 __all__ = [
     "jaccard_index",
+    "overlap",
     "spearman",
     "SpearmanResult",
     "rank_correlation_of_lists",
@@ -42,18 +43,48 @@ def _as_set(items: Iterable[int]) -> set:
     return set(items)
 
 
+#: Largest id :func:`overlap` indexes a membership mask with; larger ids
+#: (or any non-integer input) take the set path.
+_MASK_IDS = 1 << 22
+
+
+def _id_array(items: Iterable[int]) -> Optional[np.ndarray]:
+    """``items`` when it is a 1-D array of small non-negative integer ids."""
+    if not isinstance(items, np.ndarray) or items.ndim != 1 or items.dtype.kind not in "iu":
+        return None
+    if len(items) and not 0 <= items.min() <= items.max() < _MASK_IDS:
+        return None
+    return items
+
+
+def overlap(a: Iterable[int], b: Iterable[int]) -> Tuple[int, int]:
+    """``(|A ∩ B|, |A ∪ B|)`` of two collections treated as sets.
+
+    Integer id arrays (site indices) count through boolean membership
+    masks; anything else goes through Python sets.
+    """
+    ids_a, ids_b = _id_array(a), _id_array(b)
+    if ids_a is None or ids_b is None:
+        set_a, set_b = _as_set(a), _as_set(b)
+        return len(set_a & set_b), len(set_a | set_b)
+    size = max(int(ids_a.max(initial=0)), int(ids_b.max(initial=0))) + 1
+    in_a = np.zeros(size, dtype=bool)
+    in_b = np.zeros(size, dtype=bool)
+    in_a[ids_a] = True
+    in_b[ids_b] = True
+    return int(np.count_nonzero(in_a & in_b)), int(np.count_nonzero(in_a | in_b))
+
+
 def jaccard_index(a: Iterable[int], b: Iterable[int]) -> float:
     """Jaccard index of two collections treated as sets.
 
     Returns 1.0 for two empty collections (identical sets), matching the
     set-theoretic convention.
     """
-    set_a = _as_set(a)
-    set_b = _as_set(b)
-    union = len(set_a | set_b)
+    shared, union = overlap(a, b)
     if union == 0:
         return 1.0
-    return len(set_a & set_b) / union
+    return shared / union
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:

@@ -199,7 +199,10 @@ class TopListProvider(abc.ABC):
 
         The sort is stable, so tied rows keep their input order; a
         provider that breaks ties some other way passes its rows
-        pre-ordered by that key.
+        pre-ordered by that key.  Only rows scoring at least the
+        ``list_length``-th score are sorted: every row tied at the cut
+        stays a candidate in input order, so the published prefix equals
+        that of a full stable sort.
 
         Args:
             scores: per-row scores; rows with score <= ``min_score`` are
@@ -208,13 +211,18 @@ class TopListProvider(abc.ABC):
             day: publication day tag.
         """
         keep = scores > min_score
-        scores = scores[keep]
+        keys = -scores[keep]
         name_rows = name_rows[keep]
-        order = np.argsort(-scores, kind="stable")
         limit = self._world.config.list_length
+        if len(keys) > limit:
+            cut = np.partition(keys, limit - 1)[limit - 1]
+            head = np.flatnonzero(keys <= cut)
+            order = head[np.argsort(keys[head], kind="stable")]
+        else:
+            order = np.argsort(keys, kind="stable")
         return RankedList(
             provider=self.name,
             day=day,
             granularity=self.granularity,
-            name_rows=name_rows[order][:limit],
+            name_rows=name_rows[order[:limit]],
         )

@@ -52,7 +52,7 @@ def _dowdall_scores(rank_vectors: Sequence[np.ndarray], n_sites: int) -> np.ndar
     """Sum ``1/rank`` per site over ``rank_vectors``, in the given order."""
     scores = np.zeros(n_sites)
     for ranks in rank_vectors:
-        present = ranks > 0
+        present = np.flatnonzero(ranks)
         scores[present] += 1.0 / ranks[present]
     return scores
 

@@ -32,26 +32,18 @@ def interleave_rankings(
     Returns:
         The merged ranking containing every id from either input once.
     """
-    if primary_per_secondary < 1:
+    w = primary_per_secondary
+    if w < 1:
         raise ValueError("primary_per_secondary must be >= 1")
-    out = []
-    seen = set()
-    i = j = 0
-    while i < len(primary) or j < len(secondary):
-        for _ in range(primary_per_secondary):
-            if i < len(primary):
-                item = int(primary[i])
-                i += 1
-                if item not in seen:
-                    seen.add(item)
-                    out.append(item)
-        if j < len(secondary):
-            item = int(secondary[j])
-            j += 1
-            if item not in seen:
-                seen.add(item)
-                out.append(item)
-    return np.asarray(out, dtype=primary.dtype if len(primary) else np.int64)
+    # Round r takes primary entries r*w .. r*w+w-1, then secondary entry
+    # r; an exhausted input just stops contributing to later rounds.
+    i = np.arange(len(primary))
+    j = np.arange(len(secondary))
+    slots = np.concatenate(((i // w) * (w + 1) + i % w, j * (w + 1) + w))
+    merged = np.concatenate((primary, secondary))[np.argsort(slots, kind="stable")]
+    _, first = np.unique(merged, return_index=True)
+    first.sort()
+    return merged[first].astype(primary.dtype if len(primary) else np.int64)
 
 
 class TrexaProvider(TopListProvider):

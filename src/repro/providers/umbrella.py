@@ -82,6 +82,21 @@ class UmbrellaProvider(TopListProvider):
         self._ttl_factor = np.exp(
             ttl_rng.uniform(-np.log(5.0), np.log(5.0), world.n_sites)
         )
+        # Day-invariant inputs of _unique_clients_per_fqdn, over the FQDN
+        # rows a site owns (infrastructure rows draw no site sessions).
+        self._owned = self._fqdn_sites >= 0
+        self._owned_sites = self._fqdn_sites[self._owned]
+        self._owned_share = self._fqdn_share[self._owned, None]
+        self._unblocked = 1.0 - world.sites.enterprise_block[self._owned_sites]
+        self._owned_taste = self._taste[self._owned_sites]
+        clients = self._clients_by_country[None, :]
+        self._org_size = max(1.0, world.config.umbrella_org_size)
+        self._orgs = clients * _ENTERPRISE_FRACTION / self._org_size
+        self._home_clients = clients * (1.0 - _ENTERPRISE_FRACTION)
+        # Infrastructure names: queried by nearly every client.
+        self._infra = self._clients_by_country.sum() * np.minimum(
+            1.0, self._infra_weight * 30.0
+        )
 
     def _site_query_sessions(self, day: int) -> np.ndarray:
         """Expected per-site, per-country visit sessions originating from
@@ -98,17 +113,15 @@ class UmbrellaProvider(TopListProvider):
 
     def _unique_clients_per_fqdn(self, day: int) -> np.ndarray:
         """Expected unique client IPs querying each FQDN row on ``day``."""
-        sites = self._world.sites
         sessions = self._site_query_sessions(day)  # [n_sites, n_countries]
         clients = self._clients_by_country[None, :]
 
         # Per-FQDN sessions: a visit to the site queries the FQDNs its
         # pages touch; service FQDNs are queried proportionally to share.
-        fqdn_sessions = np.zeros((len(self._fqdn_rows), sessions.shape[1]))
-        owned = self._fqdn_sites >= 0
-        fqdn_sessions[owned] = (
-            sessions[self._fqdn_sites[owned]] * self._fqdn_share[owned, None]
-        )
+        # Rows no site owns have no sessions, so their unique-client
+        # count below is exactly 0.0 and only owned rows are computed.
+        fqdn_sessions = np.take(sessions, self._owned_sites, axis=0)
+        fqdn_sessions *= self._owned_share
 
         # Per-tier activity.  The enterprise tier carries the panel's
         # taste bias and category blocking and browses on the workweek;
@@ -116,12 +129,10 @@ class UmbrellaProvider(TopListProvider):
         # On weekends the enterprise tier collapses, so the observed mix
         # shifts toward the accurate home view — Umbrella's weekly
         # periodicity and weekend accuracy gain in Figure 3.
-        block = np.zeros(len(self._fqdn_rows))
-        taste = np.ones(len(self._fqdn_rows))
-        block[owned] = sites.enterprise_block[self._fqdn_sites[owned]]
-        taste[owned] = self._taste[self._fqdn_sites[owned]]
         ent_factor = (
-            self._calendar.enterprise_desktop_factor(day) * (1.0 - block) * taste
+            self._calendar.enterprise_desktop_factor(day)
+            * self._unblocked
+            * self._owned_taste
         )
         home_factor = self._calendar.home_desktop_factor(day)
 
@@ -131,19 +142,24 @@ class UmbrellaProvider(TopListProvider):
         # (org-level occupancy — saturates quickly, destroying rank
         # information at the head: the paper's "caching, TTLs, and other
         # DNS complexities" argument).  Home clients count individually.
-        ent = _ENTERPRISE_FRACTION
+        # Both chains run in place, in the order of
+        # orgs * -expm1(-rate * org_size * ent_factor) and
+        # home_clients * -expm1(-rate * home_factor).
         with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.where(clients > 0, fqdn_sessions / clients, 0.0)
-        org_size = max(1.0, self._world.config.umbrella_org_size)
-        orgs = clients * ent / org_size
-        org_unique = orgs * -np.expm1(-rate * org_size * ent_factor[:, None])
-        home_unique = clients * (1.0 - ent) * -np.expm1(-rate * home_factor)
-        unique = (org_unique + home_unique).sum(axis=1)
-
-        # Infrastructure names: queried by nearly every client.
-        total_clients = self._clients_by_country.sum()
-        infra = total_clients * np.minimum(1.0, self._infra_weight * 30.0)
-        return unique + infra
+            neg_rate = np.where(clients > 0, fqdn_sessions / clients, 0.0)
+        np.negative(neg_rate, out=neg_rate)
+        org_unique = neg_rate * self._org_size
+        org_unique *= ent_factor[:, None]
+        home_unique = neg_rate
+        home_unique *= home_factor
+        for chain, scale in ((org_unique, self._orgs), (home_unique, self._home_clients)):
+            np.expm1(chain, out=chain)
+            np.negative(chain, out=chain)
+            chain *= scale
+        org_unique += home_unique
+        unique = np.zeros(len(self._fqdn_rows))
+        unique[self._owned] = org_unique.sum(axis=1)
+        return unique + self._infra
 
     def _build_daily(self, day: int) -> RankedList:
         """The Umbrella list for ``day``: FQDNs by unique querying IPs,

@@ -19,10 +19,11 @@ shape of the private data the Chrome team provided to the paper's authors.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.traffic.fastpath import TrafficModel
 from repro.worldgen.world import World
 from repro.worldgen.zipf import sample_counts
@@ -51,12 +52,23 @@ class ChromeTelemetry:
     def __init__(self, world: World, traffic: Optional[TrafficModel] = None) -> None:
         self._world = world
         self._traffic = traffic if traffic is not None else TrafficModel(world)
-        self._day_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        # (country, platform, days) -> window total; (metric, country,
+        # platform, days, min_count) -> ranking.  Both read-only.
+        self._totals: Dict[Tuple[int, int, Tuple[int, ...]], np.ndarray] = {}
+        self._rankings: Dict[tuple, np.ndarray] = {}
         # Chrome's panel is large and close to representative, but sync
         # opt-in still selects a population; the residual taste skew is
         # small compared to other vantage points.
         bias_rng = world.day_rng("chrome", 99_991)
         self._panel_taste = bias_rng.lognormal(0.0, 0.55, size=world.n_sites)
+        sites = world.sites
+        # Per-site probability that a pageload is telemetry-eligible;
+        # private-window browsing never syncs.
+        self._visibility = (
+            sites.robots_public.astype(np.float64)
+            * (1.0 - sites.private_rate)
+            * self._panel_taste
+        )
 
     @property
     def world(self) -> World:
@@ -68,13 +80,6 @@ class ChromeTelemetry:
         """The shared traffic model."""
         return self._traffic
 
-    def _visibility(self) -> np.ndarray:
-        """Per-site probability that a pageload is telemetry-eligible."""
-        sites = self._world.sites
-        eligible = sites.robots_public.astype(np.float64)
-        # Private-window browsing never syncs.
-        return eligible * (1.0 - sites.private_rate) * self._panel_taste
-
     def panel_pageloads(self, day: int, country: int, platform: int) -> np.ndarray:
         """Expected panel-observed *completed* pageloads per site.
 
@@ -83,27 +88,40 @@ class ChromeTelemetry:
             country: country index.
             platform: 0 = Windows desktop, 1 = Android mobile.
         """
-        key = (day, country * 2 + platform)
-        cached = self._day_cache.get(key)
-        if cached is not None:
-            return cached
-
         world = self._world
         sites = world.sites
-        platform_loads = self._traffic.platform_country_pageloads(day, platform)
-        loads = platform_loads[:, country]
+        share = sites.mobile_share if platform == 1 else 1.0 - sites.mobile_share
+        loads = self._traffic.day(day).country_pageloads[:, country] * share
         chrome_share = world.clients.chrome_share[country]
         coverage = _ANDROID_COVERAGE if platform == 1 else 1.0
-        expected = (
+        return (
             loads
             * chrome_share
             * coverage
             * _PANEL_SAMPLING
-            * self._visibility()
+            * self._visibility
             * sites.completion_rate
         )
-        self._day_cache[key] = expected
-        return expected
+
+    def _window(self, days: Optional[Iterable[int]]) -> Tuple[int, ...]:
+        """``days`` as a memo key; None is the whole window."""
+        return tuple(days if days is not None else range(self._world.config.n_days))
+
+    def _window_total(
+        self, country: int, platform: int, days: Tuple[int, ...]
+    ) -> np.ndarray:
+        """Panel pageloads of one (country, platform) pair summed over
+        ``days`` in order (memoized, read-only)."""
+        key = (country, platform, days)
+        total = self._totals.get(key)
+        if total is None:
+            obs.count("chrome.window_totals_built")
+            total = np.zeros(self._world.n_sites)
+            for day in days:
+                total += self.panel_pageloads(day, country, platform)
+            total.flags.writeable = False
+            self._totals[key] = total
+        return total
 
     def metric_counts(
         self,
@@ -128,22 +146,15 @@ class ChromeTelemetry:
         """
         if metric not in TELEMETRY_METRICS:
             raise KeyError(f"unknown telemetry metric: {metric!r}")
-        world = self._world
-        sites = world.sites
-        if days is None:
-            days = range(world.config.n_days)
-
-        total = np.zeros(world.n_sites)
-        for day in days:
-            total += self.panel_pageloads(day, country, platform)
-
+        sites = self._world.sites
+        total = self._window_total(country, platform, self._window(days)).copy()
         if metric == "initiated":
             total = total / sites.completion_rate
         elif metric == "time":
             total = total * sites.dwell_seconds
 
         if with_noise:
-            rng = world.day_rng("chrome", country * 64 + platform * 32 + 1)
+            rng = self._world.day_rng("chrome", country * 64 + platform * 32 + 1)
             if metric == "time":
                 # Time is a continuous sum; jitter multiplicatively.
                 total = total * rng.lognormal(0.0, 0.03, size=len(total))
@@ -162,12 +173,20 @@ class ChromeTelemetry:
         """Site indices ranked by a telemetry metric, best first.
 
         Sites below ``min_count`` observations are invisible to the panel
-        and excluded, mirroring CrUX's privacy thresholding.
+        and excluded, mirroring CrUX's privacy thresholding.  Each ranking
+        is built once per instance and shared read-only.
         """
-        counts = self.metric_counts(metric, country, platform, days=days)
-        visible = np.flatnonzero(counts >= min_count)
-        order = np.argsort(-counts[visible], kind="stable")
-        return visible[order]
+        days = self._window(days)
+        key = (metric, country, platform, days, min_count)
+        ranked = self._rankings.get(key)
+        if ranked is None:
+            obs.count("chrome.rankings_built")
+            counts = self.metric_counts(metric, country, platform, days=days)
+            visible = np.flatnonzero(counts >= min_count)
+            ranked = visible[np.argsort(-counts[visible], kind="stable")]
+            ranked.flags.writeable = False
+            self._rankings[key] = ranked
+        return ranked
 
     def global_completed_by_site(self, with_noise: bool = True) -> np.ndarray:
         """Monthly completed pageloads per site, summed over all

@@ -183,19 +183,6 @@ class TrafficModel:
             jitter=jitter,
         )
 
-    def platform_country_pageloads(self, day: int, platform: int) -> np.ndarray:
-        """``[n_sites, n_countries]`` pageloads on one platform.
-
-        Args:
-            day: simulated day.
-            platform: 0 for desktop (Windows), 1 for mobile (Android), per
-              :data:`repro.worldgen.clients.PLATFORMS`.
-        """
-        tensors = self.day(day)
-        sites = self._world.sites
-        share = sites.mobile_share if platform == 1 else 1.0 - sites.mobile_share
-        return tensors.country_pageloads * share[:, None]
-
     def monthly_pageloads(self) -> np.ndarray:
         """Expected pageloads per site summed over the whole window."""
         total = np.zeros(self._world.n_sites)

@@ -14,7 +14,7 @@ PSL-deviation statistics in Table 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -119,6 +119,12 @@ class NameTable:
     kind: np.ndarray
     share: np.ndarray
     dns_weight: np.ndarray
+    #: Table 2's per-row PSL deviation flags, one array per PSL (see
+    #: :mod:`repro.core.normalize`): memoized with the table, never
+    #: serialized or compared.
+    psl_deviation: Dict[object, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.strings)

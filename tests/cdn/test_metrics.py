@@ -5,6 +5,7 @@ import pytest
 
 from repro.cdn.filters import ALL_COMBINATIONS, FINAL_SEVEN
 from repro.cdn.metrics import CdnMetricEngine
+from repro.obs import Tracer, tracing
 
 
 class TestExpectedCounts:
@@ -114,3 +115,38 @@ class TestRankings:
         small_engine.drop_cache()
         b = small_engine.day_counts(3, combos=("all:requests",))["all:requests"]
         assert np.array_equal(a, b)
+
+
+class TestRankingMemo:
+    """Each (day, combo) ranking is built once and shared read-only."""
+
+    @pytest.fixture()
+    def engine(self, small_world, small_traffic):
+        return CdnMetricEngine(small_world, small_traffic)
+
+    def test_read_only_and_shared(self, engine):
+        ranking = engine.ranking(0, "all:requests")
+        assert engine.ranking(0, "all:requests") is ranking
+        with pytest.raises(ValueError):
+            ranking[0] = ranking[1]
+        with pytest.raises(ValueError):
+            engine.top(0, "all:requests", 5)[0] = 0
+
+    def test_each_key_built_once(self, engine):
+        tracer = Tracer()
+        with tracing(tracer):
+            for _ in range(3):
+                for day in (0, 1):
+                    for combo in ("all:requests", "root:ips"):
+                        engine.ranking(day, combo)
+                        engine.top(day, combo, 10)
+        assert tracer.root.total_counters()["cdn.rankings_built"] == 4
+
+    def test_drop_cache_evicts_rankings(self, engine):
+        day0, day1 = engine.ranking(0, "all:ips"), engine.ranking(1, "all:ips")
+        engine.drop_cache([0])
+        rebuilt = engine.ranking(0, "all:ips")
+        assert rebuilt is not day0 and np.array_equal(rebuilt, day0)
+        assert engine.ranking(1, "all:ips") is day1
+        engine.drop_cache()
+        assert engine.ranking(1, "all:ips") is not day1

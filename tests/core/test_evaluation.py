@@ -1,9 +1,13 @@
 """Tests for the Cloudflare-subset evaluation methodology."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core.evaluation import CloudflareEvaluator
+from repro.providers.base import Granularity, RankedList, TopListProvider
 
 
 class TestEvaluateDay:
@@ -83,3 +87,45 @@ class TestCoverage:
         everything = np.ones(small_world.n_sites, dtype=bool)
         evaluator = CloudflareEvaluator(small_world, small_engine, cf_served=everything)
         assert evaluator.coverage(small_providers["alexa"], 200) == 1.0
+
+
+class TestNormalizedCache:
+    @pytest.fixture()
+    def fixed(self, small_world, small_traffic):
+        """A provider class publishing a fixed list of domain rows."""
+
+        class Fixed(TopListProvider):
+            name = "fixed"
+
+            def __init__(self, rows):
+                super().__init__(small_world, small_traffic)
+                self._rows = np.asarray(rows)
+
+            def _build_daily(self, day):
+                return RankedList("fixed", day, Granularity.DOMAIN, self._rows)
+
+        return Fixed
+
+    def test_freed_provider_never_answers_for_a_new_one(
+        self, small_world, small_engine, fixed
+    ):
+        """A provider created where a freed one lived gets its own list,
+        not the freed one's (domain row i is site i)."""
+        evaluator = CloudflareEvaluator(small_world, small_engine)
+        for _ in range(50):
+            first = fixed(np.arange(0, 40))
+            assert np.array_equal(evaluator.normalized(first, 0).sites, np.arange(0, 40))
+            del first
+            gc.collect()
+            second = fixed(np.arange(40, 80))
+            assert np.array_equal(evaluator.normalized(second, 0).sites, np.arange(40, 80))
+
+    def test_cache_does_not_keep_providers_alive(self, small_world, small_engine, fixed):
+        evaluator = CloudflareEvaluator(small_world, small_engine)
+        provider = fixed(np.arange(10))
+        normalized = evaluator.normalized(provider, 0)
+        assert evaluator.normalized(provider, 0) is normalized
+        ref = weakref.ref(provider)
+        del provider
+        gc.collect()
+        assert ref() is None

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.obs import Tracer, tracing
 from repro.telemetry.chrome import TELEMETRY_METRICS, ChromeTelemetry
 from repro.worldgen.countries import country_index
 
@@ -32,14 +33,13 @@ class TestPanel:
         mobile = small_telemetry.metric_counts("completed", us, 1, with_noise=False)
         # Per observed pageload, mobile telemetry keeps a smaller fraction;
         # compare totals scaled by the platform traffic split.
-        desktop_loads = sum(
-            small_telemetry.traffic.platform_country_pageloads(d, 0)[:, us].sum()
+        mobile_share = small_world.sites.mobile_share
+        us_loads = sum(
+            small_telemetry.traffic.day(d).country_pageloads[:, us]
             for d in range(small_world.config.n_days)
         )
-        mobile_loads = sum(
-            small_telemetry.traffic.platform_country_pageloads(d, 1)[:, us].sum()
-            for d in range(small_world.config.n_days)
-        )
+        desktop_loads = (us_loads * (1.0 - mobile_share)).sum()
+        mobile_loads = (us_loads * mobile_share).sum()
         assert desktop.sum() / desktop_loads > mobile.sum() / mobile_loads
 
     def test_ranking_excludes_unseen(self, small_telemetry):
@@ -78,3 +78,40 @@ class TestPanel:
         a = ChromeTelemetry(small_world, small_traffic).metric_counts("completed", 0, 0)
         b = ChromeTelemetry(small_world, small_traffic).metric_counts("completed", 0, 0)
         assert np.array_equal(a, b)
+
+
+class TestRankOnce:
+    """Rankings and window totals are built once and shared read-only."""
+
+    @pytest.fixture()
+    def telemetry(self, small_world, small_traffic):
+        return ChromeTelemetry(small_world, small_traffic)
+
+    def test_ranking_read_only_and_shared(self, small_world, telemetry):
+        ranking = telemetry.ranking("completed", 0, 0)
+        whole = range(small_world.config.n_days)
+        assert telemetry.ranking("completed", 0, 0, days=whole) is ranking
+        with pytest.raises(ValueError):
+            ranking[0] = ranking[1]
+
+    def test_window_total_read_only_and_callers_get_copies(self, small_world, telemetry):
+        total = telemetry._window_total(0, 1, tuple(range(small_world.config.n_days)))
+        with pytest.raises(ValueError):
+            total[0] = 1.0
+        counts = telemetry.metric_counts("completed", 0, 1, with_noise=False)
+        counts[:] = -1.0
+        again = telemetry.metric_counts("completed", 0, 1, with_noise=False)
+        assert np.array_equal(again, total)
+
+    def test_each_key_built_once(self, telemetry):
+        tracer = Tracer()
+        with tracing(tracer):
+            for _ in range(3):
+                for metric in TELEMETRY_METRICS:
+                    for platform in (0, 1):
+                        telemetry.ranking(metric, 2, platform)
+                telemetry.metric_counts("completed", 2, 0, days=range(3))
+        counters = tracer.root.total_counters()
+        assert counters["chrome.rankings_built"] == 6
+        # (2, desktop) and (2, android) over the window, (2, desktop) over days 0-2.
+        assert counters["chrome.window_totals_built"] == 3
