@@ -995,6 +995,14 @@ def _run_chaos(argv: List[str]) -> int:
               detail="every result identical to its golden under faults")
     run.check("faults_fired", total_faults >= 1, total_faults, 1,
               "the plan exercised at least one fault")
+    # A rule whose target the run never touches leaves its recovery path
+    # untested while the total above still passes, so each must fire.
+    evidence = {"worker.crash": deaths, "worker.hang": timeouts}
+    silent = [f"{rule.site} {rule.match}" for rule in plan.rules
+              if evidence.get(rule.site, injected.get(rule.site, 0)) < 1]
+    run.check("rules_fired", not silent, len(plan.rules) - len(silent),
+              len(plan.rules),
+              f"silent: {', '.join(silent)}" if silent else "every plan rule fired")
     print("\n" + run.render())
     return EXIT_OK if run.ok else EXIT_FAILURE
 

@@ -58,8 +58,9 @@ class ExperimentContext:
     Args:
         config: the world configuration.
         store: an optional :class:`~repro.store.ArtifactStore`; when given,
-          the world hydrates from disk and traffic tensors, CDN metric
-          counts, and provider lists stream through the store.
+          the world hydrates from disk and CDN metric counts and provider
+          lists stream through the store.  Traffic is always computed from
+          the world.
 
     Components are materialized on first access through
     :meth:`artifact` — the one choke point instrumentation and store
@@ -123,12 +124,7 @@ class ExperimentContext:
         if name == "traffic":
             from repro.traffic.fastpath import TrafficModel
 
-            traffic = TrafficModel(self.world)
-            if self.store is not None:
-                from repro.store import attach_traffic_store
-
-                attach_traffic_store(traffic, self.store, self._config_key())
-            return traffic
+            return TrafficModel(self.world)
         if name == "telemetry":
             from repro.telemetry.chrome import ChromeTelemetry
 
@@ -249,8 +245,8 @@ def experiment_context(
         config: the world configuration (:data:`BENCH_CONFIG` by default).
         store: an optional :class:`~repro.store.ArtifactStore`.  When given,
           the world is hydrated from the store if present (persisted on a
-          cold build), and traffic tensors, CDN metric counts, and provider
-          lists flow through it lazily.
+          cold build), and CDN metric counts and provider lists flow
+          through it lazily.
     """
     config = config if config is not None else BENCH_CONFIG
     memo_key = (config, None if store is None else str(getattr(store, "root", store)))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.core.normalize import NormalizedList
 from repro.weblib.categories import CATEGORIES
@@ -110,6 +109,10 @@ def logistic_regression(
     covariance = np.linalg.inv(design.T @ (design * w[:, None]) + ridge * np.eye(k))
     std_err = np.sqrt(np.diag(covariance))
     z_values = beta / std_err
+    # Imported here: ``repro serve`` never fits a regression and skips the
+    # import at startup.
+    from scipy.special import ndtr
+
     p_values = 2.0 * ndtr(-np.abs(z_values))
     return LogisticFit(
         coef=beta,

@@ -20,7 +20,6 @@ import math
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import stdtr
 
 __all__ = [
     "jaccard_index",
@@ -159,6 +158,10 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> SpearmanResult:
     if n == 2 or abs(rho) == 1.0:
         pvalue = 0.0 if abs(rho) == 1.0 and n > 2 else 1.0
     else:
+        # Imported here: ``repro serve`` never takes a p-value and skips
+        # the import at startup.
+        from scipy.special import stdtr
+
         t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
         pvalue = float(2.0 * stdtr(n - 2, -abs(t)))
     return SpearmanResult(rho, pvalue)

@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is a JSON-serializable list of :class:`FaultRule`
 entries, each naming an injection *site* (one of :data:`SITES`), a glob
 ``match`` over the key presented at that site (an artifact name such as
-``traffic/day-003`` for store sites, an experiment id for worker sites),
+``metrics/day-003`` for store sites, an experiment id for worker sites),
 a ``probability``, and a ``max_fires`` budget.
 
 Determinism is the whole point — chaos runs must replay bit-for-bit:
@@ -316,7 +316,9 @@ def default_chaos_plan(
     pick = lambda i: victims[i % len(victims)]  # noqa: E731
     return FaultPlan(
         rules=[
-            FaultRule("store.read.corrupt", match="traffic/*"),
+            # Supervised workers hydrate the world from the store, so a
+            # corrupt world read drives the quarantine-and-rebuild path.
+            FaultRule("store.read.corrupt", match="world/*"),
             FaultRule("store.write.enospc", match="metrics/*"),
             FaultRule("store.write.partial", match="providers/*"),
             FaultRule("worker.crash", match=pick(0)),

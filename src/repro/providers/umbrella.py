@@ -37,6 +37,11 @@ __all__ = ["UmbrellaProvider"]
 #: Fraction of Umbrella's client base behind enterprise policy.
 _ENTERPRISE_FRACTION = 0.8
 
+#: Owned FQDN rows per block in ``_unique_clients_per_fqdn``: the
+#: ``[rows, countries]`` temporaries of one block stay cache-sized
+#: instead of spanning every owned row.
+_UNIQUE_BLOCK_ROWS = 4096
+
 # A site's repeat lookups within an org are answered from the shared
 # forwarder cache, so Umbrella effectively counts *organizations*, not
 # devices — the head of the distribution saturates (every org queries
@@ -116,13 +121,6 @@ class UmbrellaProvider(TopListProvider):
         sessions = self._site_query_sessions(day)  # [n_sites, n_countries]
         clients = self._clients_by_country[None, :]
 
-        # Per-FQDN sessions: a visit to the site queries the FQDNs its
-        # pages touch; service FQDNs are queried proportionally to share.
-        # Rows no site owns have no sessions, so their unique-client
-        # count below is exactly 0.0 and only owned rows are computed.
-        fqdn_sessions = np.take(sessions, self._owned_sites, axis=0)
-        fqdn_sessions *= self._owned_share
-
         # Per-tier activity.  The enterprise tier carries the panel's
         # taste bias and category blocking and browses on the workweek;
         # the (small) home tier is an unbiased sample of the population.
@@ -136,29 +134,42 @@ class UmbrellaProvider(TopListProvider):
         )
         home_factor = self._calendar.home_desktop_factor(day)
 
-        # Caching suppression, two tiers.  Enterprise devices sit behind
-        # shared forwarder caches: Umbrella sees one client per *org* per
-        # day per name, and an org queries a name if any member does
-        # (org-level occupancy — saturates quickly, destroying rank
-        # information at the head: the paper's "caching, TTLs, and other
-        # DNS complexities" argument).  Home clients count individually.
-        # Both chains run in place, in the order of
-        # orgs * -expm1(-rate * org_size * ent_factor) and
-        # home_clients * -expm1(-rate * home_factor).
-        with np.errstate(divide="ignore", invalid="ignore"):
-            neg_rate = np.where(clients > 0, fqdn_sessions / clients, 0.0)
-        np.negative(neg_rate, out=neg_rate)
-        org_unique = neg_rate * self._org_size
-        org_unique *= ent_factor[:, None]
-        home_unique = neg_rate
-        home_unique *= home_factor
-        for chain, scale in ((org_unique, self._orgs), (home_unique, self._home_clients)):
-            np.expm1(chain, out=chain)
-            np.negative(chain, out=chain)
-            chain *= scale
-        org_unique += home_unique
+        # Rows no site owns have no sessions, so their unique-client
+        # count is exactly 0.0 and only owned rows are computed, block by
+        # block; each row sees the same element operations and the same
+        # row sum whatever the block size.
+        owned_unique = np.empty(len(self._owned_sites))
+        for lo in range(0, len(self._owned_sites), _UNIQUE_BLOCK_ROWS):
+            hi = lo + _UNIQUE_BLOCK_ROWS
+            # Per-FQDN sessions: a visit to the site queries the FQDNs its
+            # pages touch; service FQDNs are queried proportionally to share.
+            fqdn_sessions = np.take(sessions, self._owned_sites[lo:hi], axis=0)
+            fqdn_sessions *= self._owned_share[lo:hi]
+
+            # Caching suppression, two tiers.  Enterprise devices sit behind
+            # shared forwarder caches: Umbrella sees one client per *org* per
+            # day per name, and an org queries a name if any member does
+            # (org-level occupancy — saturates quickly, destroying rank
+            # information at the head: the paper's "caching, TTLs, and other
+            # DNS complexities" argument).  Home clients count individually.
+            # Both chains run in place, in the order of
+            # orgs * -expm1(-rate * org_size * ent_factor) and
+            # home_clients * -expm1(-rate * home_factor).
+            with np.errstate(divide="ignore", invalid="ignore"):
+                neg_rate = np.where(clients > 0, fqdn_sessions / clients, 0.0)
+            np.negative(neg_rate, out=neg_rate)
+            org_unique = neg_rate * self._org_size
+            org_unique *= ent_factor[lo:hi, None]
+            home_unique = neg_rate
+            home_unique *= home_factor
+            for chain, scale in ((org_unique, self._orgs), (home_unique, self._home_clients)):
+                np.expm1(chain, out=chain)
+                np.negative(chain, out=chain)
+                chain *= scale
+            org_unique += home_unique
+            owned_unique[lo:hi] = org_unique.sum(axis=1)
         unique = np.zeros(len(self._fqdn_rows))
-        unique[self._owned] = org_unique.sum(axis=1)
+        unique[self._owned] = owned_unique
         return unique + self._infra
 
     def _build_daily(self, day: int) -> RankedList:

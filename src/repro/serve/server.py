@@ -13,8 +13,9 @@ serving workload demands:
   personas foremost) discover valid targets instead of hardcoding them.
 * ``GET /v1/lists/<provider>/<day>?k=N`` — the top-``k`` slice of a
   provider's simulated ranked list for a day, as a *versioned snapshot*:
-  the body carries the snapshot version (the store checksum of the full
-  persisted snapshot) and the response a strong ``ETag``.
+  the body carries the snapshot version (the sha256 of the canonical full
+  snapshot, which is computed, never stored) and the response a strong
+  ``ETag``.
 * ``GET /v1/lists/<provider>/diff?from=&to=&k=`` — rank deltas between
   two days' top-``k``: entrants, dropouts, moved, unchanged.
 * ``GET /v1/lists/<provider>/stability?k=`` — the Scheitle-style
@@ -1276,16 +1277,16 @@ class MetricsService:
 
     def _list_version(self, provider: str, day: int, ranked: object,
                       data_health: Optional[Dict] = None) -> str:
-        """The snapshot version for (provider, day): the store checksum
-        of the full persisted snapshot document.
+        """The snapshot version for (provider, day): the sha256 of the
+        canonical bytes of the full snapshot document.
 
-        The first request for a (provider, day) persists the full list
-        snapshot as a store artifact (``lists/<provider>/day-<d>``); the
-        checksum the store records for it — identical to the sha256 of
-        the canonical payload — becomes the version every ``?k=`` slice
-        of that snapshot reports.  Under data chaos the ``data_health``
-        block is part of the persisted snapshot, so a degraded day's
-        version can never collide with its clean twin.
+        Every ``?k=`` slice of that snapshot reports it.  It equals the
+        checksum the artifact store would record for the document, but
+        the snapshot is not stored: nothing reads it back, and the
+        version must name the bytes this process serves, never an older
+        file left on disk.  Under data chaos the ``data_health`` block is
+        part of the snapshot, so a degraded day's version can never
+        collide with its clean twin.
         """
         key = (provider, day)
         with self._etag_lock:
@@ -1294,11 +1295,7 @@ class MetricsService:
             return version
         doc = snapshot_doc(ranked, self._context().world,  # type: ignore[arg-type]
                            data_health=data_health)
-        artifact = f"lists/{provider}/day-{day}"
-        self.store.put_json(self._cfg_key, artifact, doc)
-        version = self.store.checksum(self._cfg_key, artifact) or (
-            hashlib.sha256(canonical_bytes(doc)).hexdigest()
-        )
+        version = hashlib.sha256(canonical_bytes(doc)).hexdigest()
         with self._etag_lock:
             self._list_versions[key] = version
         return version

@@ -17,7 +17,6 @@ from repro.store.artifacts import (
 from repro.store.serialize import (
     StoredProvider,
     attach_engine_store,
-    attach_traffic_store,
     load_or_build_world,
     wrap_providers,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "default_cache_dir",
     "StoredProvider",
     "attach_engine_store",
-    "attach_traffic_store",
     "load_or_build_world",
     "wrap_providers",
 ]

@@ -1,12 +1,14 @@
 """The content-addressed on-disk artifact store.
 
 Every expensive artifact in the reproduction — the site universe, the
-per-day traffic tensors, the 21-combination CDN metric counts, provider
-lists, experiment results — is a pure function of a frozen
-:class:`~repro.worldgen.config.WorldConfig`.  The store exploits that:
-artifacts are addressed by ``(schema version, sha256(config), name)``, so a
-world built once is reusable by every later process, CLI invocation, bench
-session, and parallel worker.
+21-combination CDN metric counts, provider lists, experiment results — is
+a pure function of a frozen :class:`~repro.worldgen.config.WorldConfig`.
+The store exploits that: artifacts are addressed by ``(schema version,
+sha256(config), name)``, so a world built once is reusable by every later
+process, CLI invocation, bench session, and parallel worker.  It holds
+only what a later run reads back and reads faster than it recomputes
+(DESIGN.md §7): the per-day traffic tensors cost less to compute from the
+world than to read, and are never stored.
 
 Durability model (inspired by Tranco's permanently citable list artifacts):
 
@@ -26,7 +28,15 @@ Durability model (inspired by Tranco's permanently citable list artifacts):
   persisting, and keeps serving reads; callers recompute and the run
   completes instead of crashing mid-batch.
 * **Size-capped LRU** — reads refresh an entry's mtime; when the store
-  exceeds its byte cap the oldest entries are evicted first.
+  exceeds its byte cap the oldest entries are evicted first.  An instance
+  scans the store once, on its first write, and then keeps a running byte
+  tally (each publish adds its size minus the size of the entry it
+  replaced; each eviction or quarantine subtracts), rescanning only when
+  the tally passes the cap.  With one writer the tally equals what a scan
+  would find, so every eviction decision is the same as scanning after
+  every write.  Another process's writes are seen at this instance's next
+  rescan, so concurrent writers can overshoot the cap by what the others
+  wrote since this instance last scanned.
 
 Every IO path is threaded through the :mod:`repro.faults` choke point, so
 ``repro chaos`` can deterministically corrupt reads, fill the disk, and
@@ -46,6 +56,7 @@ import json
 import logging
 import os
 import shutil
+import threading
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -86,6 +97,22 @@ _READ_ONLY_ERRNOS = frozenset(
 )
 
 _HEADER_PREFIX = f"repro-artifact/{SCHEMA_VERSION} sha256=".encode("ascii")
+
+
+def _decode_npz(payload: bytes) -> Dict[str, np.ndarray]:
+    try:
+        with np.load(io.BytesIO(payload), allow_pickle=False) as data:
+            return {key: data[key] for key in data.files}
+    except Exception as error:
+        # np.load can surface almost anything on a mangled zip, so the
+        # handler is deliberately broad; an interrupt or a shutdown is not
+        # an Exception and still propagates.
+        raise ValueError(f"unreadable npz payload: {error}") from error
+
+
+def _decode_json(payload: bytes) -> Any:
+    # UnicodeDecodeError and json.JSONDecodeError are both ValueErrors.
+    return json.loads(payload.decode("utf-8"))
 
 
 def config_key(config: WorldConfig) -> str:
@@ -155,7 +182,7 @@ class StoreStats:
 class ArtifactEntry:
     """One stored artifact, as reported by :meth:`ArtifactStore.entries`."""
 
-    key: str  # e.g. "v1/<confighash>/traffic/day-003.npz"
+    key: str  # e.g. "v1/<confighash>/metrics/day-003.npz"
     size: int
     mtime: float
 
@@ -175,6 +202,12 @@ class ArtifactStore:
         self.stats = StoreStats()
         self._read_only = False
         self._warned_read_only = False
+        #: Bytes under ``v*/`` as of the last scan, plus this instance's
+        #: publishes minus its evictions and quarantines since; None until
+        #: the first write scans.  Guarded by ``_tally_lock`` (serve writes
+        #: from request threads).
+        self._tally: Optional[int] = None
+        self._tally_lock = threading.Lock()
         #: Optional read-path observer, called synchronously on the reading
         #: thread after every payload read attempt as ``(name, status,
         #: seconds)`` with status in ``{"hit", "miss", "corrupt"}`` and
@@ -204,7 +237,15 @@ class ArtifactStore:
         if observer is not None:
             observer(name, status, time.perf_counter() - started)
 
-    def _read_payload(self, cfg_key: str, name: str, ext: str) -> Optional[bytes]:
+    def _read_payload(
+        self, cfg_key: str, name: str, ext: str, decode: Callable[[bytes], Any]
+    ) -> Optional[Any]:
+        """Read, checksum and decode one artifact; None on miss or corruption.
+
+        A payload that fails its checksum or fails to decode is counted
+        once, as corrupt and as a miss, and quarantined; only a decoded
+        payload counts as a hit.
+        """
         path = self._path(cfg_key, name, ext)
         started = time.perf_counter()
         try:
@@ -231,8 +272,20 @@ class ArtifactStore:
             if header.startswith(_HEADER_PREFIX)
             else None
         )
-        if expected is None or hashlib.sha256(payload).hexdigest() != expected:
+        # The payload slice is a copy: drop the raw blob before decoding,
+        # or peak memory grows by one artifact's size.
+        del blob
+        value = None
+        readable = expected is not None and hashlib.sha256(payload).hexdigest() == expected
+        if not readable:
             logger.warning("quarantining corrupt artifact %s", path)
+        else:
+            try:
+                value = decode(payload)
+            except ValueError:
+                readable = False
+                logger.warning("quarantining unreadable %s artifact %s", ext, path)
+        if not readable:
             self.stats.corrupt += 1
             self.stats.record(self.stats.misses, name)
             obs.count("store.misses")
@@ -248,7 +301,7 @@ class ArtifactStore:
         obs.count("store.hits")
         obs.count("store.bytes_read", len(payload))
         self._notify_read(name, "hit", started)
-        return payload
+        return value
 
     def _write_payload(self, cfg_key: str, name: str, ext: str, payload: bytes) -> None:
         if self._read_only:
@@ -275,7 +328,15 @@ class ArtifactStore:
                 handle.write(body)
                 handle.flush()
                 os.fsync(handle.fileno())
-            os.replace(tmp, path)
+            with self._tally_lock:
+                # The replaced size is read under the lock with the rename,
+                # so threads overwriting one name cannot both subtract it.
+                try:
+                    replaced = os.stat(path).st_size
+                except OSError:
+                    replaced = 0
+                os.replace(tmp, path)
+                over_cap = self._tally_published(len(header) + len(body) - replaced)
             # The rename itself lives in the directory; without fsyncing it
             # a crash can resurrect the old entry or lose the new one, and
             # a concurrent reader on a journaled-metadata filesystem may
@@ -300,7 +361,8 @@ class ArtifactStore:
         self.stats.bytes_written += len(body)
         obs.count("store.puts")
         obs.count("store.bytes_written", len(body))
-        self._evict_over_cap(keep=path)
+        if over_cap:
+            self._evict_over_cap(keep=path)
 
     @staticmethod
     def _unlink(path: Path) -> None:
@@ -343,9 +405,11 @@ class ArtifactStore:
         target = qdir / f"{int(time.time() * 1000):013d}-{os.getpid()}-{'__'.join(rel.parts)}"
         try:
             qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
+            moved = self._take_out(path, target)
         except OSError:
-            self._unlink(path)
+            moved = False
+        if not moved:
+            self._take_out(path)
             return
         self.stats.quarantined += 1
         obs.count("store.quarantined")
@@ -384,23 +448,7 @@ class ArtifactStore:
 
     def get_arrays(self, cfg_key: str, name: str) -> Optional[Dict[str, np.ndarray]]:
         """Load a numpy artifact, or None on miss/corruption."""
-        payload = self._read_payload(cfg_key, name, "npz")
-        if payload is None:
-            return None
-        try:
-            with np.load(io.BytesIO(payload), allow_pickle=False) as data:
-                return {key: data[key] for key in data.files}
-        except (KeyboardInterrupt, SystemExit):
-            # np.load can surface almost anything on a mangled zip, so the
-            # handler below is deliberately broad — but an interrupt or a
-            # shutdown must never be mistaken for a corrupt artifact.
-            raise
-        except Exception:
-            logger.warning("quarantining unreadable npz artifact %s/%s", cfg_key, name)
-            self.stats.corrupt += 1
-            self._quarantine(self._path(cfg_key, name, "npz"))
-            self._notify_read(name, "corrupt", time.perf_counter())
-            return None
+        return self._read_payload(cfg_key, name, "npz", _decode_npz)
 
     def put_arrays(self, cfg_key: str, name: str, arrays: Mapping[str, np.ndarray]) -> None:
         """Persist a numpy artifact atomically."""
@@ -410,44 +458,17 @@ class ArtifactStore:
 
     def get_json(self, cfg_key: str, name: str) -> Optional[Any]:
         """Load a JSON artifact, or None on miss/corruption."""
-        payload = self._read_payload(cfg_key, name, "json")
-        if payload is None:
-            return None
-        try:
-            return json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            logger.warning("quarantining unreadable json artifact %s/%s", cfg_key, name)
-            self.stats.corrupt += 1
-            self._quarantine(self._path(cfg_key, name, "json"))
-            self._notify_read(name, "corrupt", time.perf_counter())
-            return None
+        return self._read_payload(cfg_key, name, "json", _decode_json)
 
     def put_json(self, cfg_key: str, name: str, value: Any) -> None:
-        """Persist a JSON artifact atomically."""
+        """Persist a JSON artifact atomically.
+
+        The payload is ``json.dumps(value, sort_keys=True)``, so the
+        recorded checksum is the sha256 of the value's canonical bytes
+        (:func:`repro.ranking.snapshots.canonical_bytes`).
+        """
         payload = json.dumps(value, sort_keys=True).encode("utf-8")
         self._write_payload(cfg_key, name, "json", payload)
-
-    def checksum(self, cfg_key: str, name: str, ext: str = "json") -> Optional[str]:
-        """The recorded sha256 of an artifact's payload, read from its
-        header line alone — no payload read, no hit/miss accounting.
-
-        This is the store's content version for the blob.  The serving
-        layer reuses it as a strong ETag / snapshot version without
-        paying for (or being observed performing) a full checksummed
-        read; a mismatch against the actual payload still surfaces on
-        the next real read.  Returns None when the artifact is absent or
-        its header is unrecognizable.
-        """
-        path = self._path(cfg_key, name, ext)
-        try:
-            with open(path, "rb") as handle:
-                header = handle.readline(len(_HEADER_PREFIX) + 65).rstrip(b"\n")
-        except OSError:
-            return None
-        if not header.startswith(_HEADER_PREFIX):
-            return None
-        digest = header[len(_HEADER_PREFIX) :].decode("ascii", "replace")
-        return digest if len(digest) == 64 else None
 
     # ------------------------------------------------------------------
     # Inventory, eviction, maintenance.
@@ -494,37 +515,75 @@ class ArtifactStore:
         """Bytes currently stored."""
         return sum(entry.size for entry in self._scan())
 
-    def _evict_over_cap(self, keep: Optional[Path] = None) -> None:
+    def _tally_published(self, grown: int) -> bool:
+        """Add a publish to the byte tally; True when the store must be
+        rescanned and evicted.  Caller holds ``_tally_lock``.
+
+        ``grown`` is the published size minus the size of the entry it
+        replaced.  An instance's first write scans; later writes rescan
+        only when the tally passes the cap.
+        """
         if self.max_bytes is None:
-            return
-        entries = self._scan()
-        total = sum(entry.size for entry in entries)
-        if total <= self.max_bytes:
-            return
-        entries.sort(key=lambda e: (e.mtime, e.key))
-        for entry in entries:
-            if total <= self.max_bytes:
-                break
-            path = self.root / entry.key
-            if keep is not None and path == keep:
-                continue  # never evict the entry being published
-            self._unlink(path)
-            self.stats.evictions += 1
-            total -= entry.size
-        # A single oversized artifact may still exceed the cap; that is
-        # logged rather than refused (the caller already paid to build it).
-        if total > self.max_bytes:
-            logger.warning(
-                "store over cap after eviction: %d > %d bytes", total, self.max_bytes
-            )
+            self._tally = None
+            return False
+        if self._tally is None:
+            return True
+        self._tally += grown
+        return self._tally > self.max_bytes
+
+    def _take_out(self, path: Path, target: Optional[Path] = None) -> bool:
+        """Move an entry to ``target`` (or unlink it) and take its size off
+        the tally; False when the entry is gone or cannot be moved."""
+        with self._tally_lock:
+            try:
+                size = os.stat(path).st_size
+                if target is None:
+                    os.unlink(path)
+                else:
+                    os.replace(path, target)
+            except OSError:
+                return False
+            if self._tally is not None:
+                self._tally -= size
+            return True
+
+    def _evict_over_cap(self, keep: Optional[Path] = None) -> None:
+        """Scan the store, evict oldest-first down to the byte cap, and
+        restart the tally from the scan."""
+        with self._tally_lock:
+            if self.max_bytes is None:
+                return
+            entries = self._scan()
+            total = sum(entry.size for entry in entries)
+            if total > self.max_bytes:
+                entries.sort(key=lambda e: (e.mtime, e.key))
+                for entry in entries:
+                    if total <= self.max_bytes:
+                        break
+                    path = self.root / entry.key
+                    if keep is not None and path == keep:
+                        continue  # never evict the entry being published
+                    self._unlink(path)
+                    self.stats.evictions += 1
+                    total -= entry.size
+                # A single oversized artifact may still exceed the cap; that
+                # is logged rather than refused (the caller already paid to
+                # build it).
+                if total > self.max_bytes:
+                    logger.warning(
+                        "store over cap after eviction: %d > %d bytes", total, self.max_bytes
+                    )
+            self._tally = total
 
     def clear(self) -> int:
         """Delete every stored artifact; returns the bytes freed."""
-        freed = self.total_bytes()
-        if self.root.is_dir():
-            for child in self.root.iterdir():
-                if child.is_dir():
-                    shutil.rmtree(child, ignore_errors=True)
-                else:
-                    self._unlink(child)
+        with self._tally_lock:
+            freed = self.total_bytes()
+            if self.root.is_dir():
+                for child in self.root.iterdir():
+                    if child.is_dir():
+                        shutil.rmtree(child, ignore_errors=True)
+                    else:
+                        self._unlink(child)
+            self._tally = None
         return freed

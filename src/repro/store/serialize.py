@@ -2,12 +2,19 @@
 
 Artifact names, all under one config key:
 
-* ``world/arrays`` — the flattened :class:`~repro.worldgen.world.World`.
-* ``traffic/day-NNN`` — one day's :class:`~repro.traffic.fastpath.DayTraffic`.
-* ``metrics/day-NNN`` — all 21 observed CDN combination arrays for a day.
+* ``world/arrays`` — the flattened :class:`~repro.worldgen.world.World`
+  (its seed streams are respawned from the config, not stored).
+* ``metrics/day-NNN`` — all 21 observed CDN combination arrays for a day
+  (RNG-bound sampling, slower to redo than to read).
 * ``providers/<name>/day-NNN`` / ``providers/<name>/monthly`` — published
   :class:`~repro.providers.base.RankedList` payloads.
 * ``results/<experiment>`` — JSON run records (written by the runner).
+
+The store keeps only artifacts a later run reads back and reads faster
+than it recomputes (DESIGN.md §7).  Per-day traffic tensors are not among
+them: :class:`~repro.traffic.fastpath.TrafficModel` recomputes a day from
+the world in less time than reading it back takes, and a hydrated world
+yields the same bits as a fresh one.
 
 Every artifact is a pure function of the config, so concurrent writers to
 the same name race benignly: whoever wins ``os.replace`` published the same
@@ -24,14 +31,12 @@ from repro.cdn.filters import ALL_COMBINATIONS
 from repro.cdn.metrics import CdnMetricEngine
 from repro.providers.base import RankedList, TopListProvider
 from repro.store.artifacts import ArtifactStore
-from repro.traffic.fastpath import DayTraffic, TrafficModel
 from repro.worldgen.config import WorldConfig
 from repro.worldgen.world import World, build_world
 
 __all__ = [
     "WORLD_ARTIFACT",
     "load_or_build_world",
-    "attach_traffic_store",
     "attach_engine_store",
     "StoredProvider",
     "wrap_providers",
@@ -53,25 +58,6 @@ def load_or_build_world(store: ArtifactStore, cfg_key: str, config: WorldConfig)
     world = build_world(config)
     store.put_arrays(cfg_key, WORLD_ARTIFACT, world.to_arrays())
     return world
-
-
-def attach_traffic_store(traffic: TrafficModel, store: ArtifactStore, cfg_key: str) -> None:
-    """Wire a traffic model's per-day cache through the store."""
-
-    def load(day: int) -> Optional[DayTraffic]:
-        arrays = store.get_arrays(cfg_key, f"traffic/day-{day:03d}")
-        if arrays is None:
-            return None
-        try:
-            return DayTraffic.from_arrays(arrays)
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def save(day: int, tensors: DayTraffic) -> None:
-        store.put_arrays(cfg_key, f"traffic/day-{day:03d}", tensors.to_arrays())
-
-    traffic.day_loader = load
-    traffic.day_saver = save
 
 
 def attach_engine_store(engine: CdnMetricEngine, store: ArtifactStore, cfg_key: str) -> None:

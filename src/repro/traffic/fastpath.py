@@ -19,7 +19,7 @@ expected number of distinct clients is ``N * (1 - exp(-V / N))``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -67,15 +67,6 @@ class DayTraffic:
         """
         return self.unique_visitors.sum(axis=1)
 
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The day tensors as a flat array mapping (for the artifact store)."""
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "DayTraffic":
-        """Rebuild day tensors from :meth:`to_arrays` output."""
-        return cls(**{slot: np.asarray(arrays[slot]) for slot in cls.__slots__})
-
 
 class TrafficModel:
     """Vectorized per-day traffic for a world.
@@ -84,7 +75,9 @@ class TrafficModel:
         world: the world to simulate.
 
     Day tensors are cached (the month fits comfortably in memory at bench
-    scale) and deterministic per (world seed, day).
+    scale) and deterministic per (world seed, day).  They are never
+    persisted: computing a day from the world costs less than reading it
+    back from the artifact store.
     """
 
     def __init__(self, world: World) -> None:
@@ -100,10 +93,6 @@ class TrafficModel:
         #: counts (several devices/browsers can share a NAT'd address).
         self.ip_ua_spread = static_rng.uniform(1.01, 1.09, size=n)
         self._day_cache: Dict[int, DayTraffic] = {}
-        #: Optional artifact-store hooks (see :mod:`repro.store.serialize`):
-        #: consulted before computing a day, and after computing one.
-        self.day_loader: Optional[Callable[[int], Optional[DayTraffic]]] = None
-        self.day_saver: Optional[Callable[[int, DayTraffic], None]] = None
 
     @property
     def world(self) -> World:
@@ -124,17 +113,11 @@ class TrafficModel:
         if not 0 <= day < self._world.config.n_days:
             raise ValueError(f"day {day} outside configured window")
         cached = self._day_cache.get(day)
-        if cached is None and self.day_loader is not None:
-            cached = self.day_loader(day)
-            if cached is not None:
-                self._day_cache[day] = cached
         if cached is None:
             with obs.span("traffic/compute-day"):
                 cached = self._compute_day(day)
                 obs.count("traffic.rows", self._world.n_sites)
             self._day_cache[day] = cached
-            if self.day_saver is not None:
-                self.day_saver(day, cached)
         return cached
 
     def _compute_day(self, day: int) -> DayTraffic:

@@ -123,11 +123,13 @@ class TestChaosCommand:
 
     def _plan_file(self, tmp_path) -> str:
         # Crash + flaky + store faults, no hang: keeps the test off the
-        # deadline path so it never waits out a timeout.
+        # deadline path so it never waits out a timeout.  Every rule must
+        # fire: run sequentially, fig6's worker reads back the world
+        # table1's built, and every worker writes its result.
         plan = FaultPlan(
             [
                 FaultRule("store.read.corrupt", match="world/*"),
-                FaultRule("store.write.enospc", match="metrics/*"),
+                FaultRule("store.write.enospc", match="results/*"),
                 FaultRule("store.write.partial", match="providers/*"),
                 FaultRule("worker.crash", match="survey"),
                 FaultRule("experiment.flaky_first_attempt", match="table1"),
@@ -147,14 +149,17 @@ class TestChaosCommand:
             "--plan", self._plan_file(tmp_path),
             "--experiment", "survey", "--experiment", "table1",
             "--experiment", "fig6",
-            "--jobs", "2", "--timeout", "60",
+            "--jobs", "1", "--timeout", "60",
             "--manifest", str(manifest_path),
         ])
         assert rc == EXIT_OK
         manifest = json.loads(manifest_path.read_text())
         assert manifest["faults"]["worker_deaths"] == 1
         assert manifest["faults"]["resubmissions"] == 1
-        assert sum(manifest["faults"]["injected"].values()) >= 1
+        assert set(manifest["faults"]["injected"]) == {
+            "store.read.corrupt", "store.write.enospc", "store.write.partial",
+            "experiment.flaky_first_attempt",
+        }
         statuses = {
             o["name"]: o["golden_status"] for o in manifest["outcomes"]
         }
@@ -197,6 +202,31 @@ class TestChaosCommand:
             "--manifest", str(tmp_path / "quiet.json"),
         ])
         assert rc == EXIT_FAILURE
+
+    def test_chaos_gate_fails_when_a_rule_never_fires(self, goldens, tmp_path, capsys):
+        # One rule fires, so the total passes; the rule that matches
+        # nothing the run touches must still fail the gate.
+        plan = tmp_path / "silent-rule.json"
+        plan.write_text(FaultPlan(
+            [
+                FaultRule("store.write.enospc", match="results/*"),
+                FaultRule("store.read.corrupt", match="nothing/*"),
+            ],
+            seed=1,
+        ).to_json())
+        rc = main([
+            "chaos", "--sites", "400", "--days", "4",
+            "--world-seed", "11",
+            "--golden-dir", str(goldens),
+            "--plan", str(plan),
+            "--experiment", "survey",
+            "--jobs", "1", "--timeout", "60",
+            "--manifest", str(tmp_path / "silent.json"),
+        ])
+        out = capsys.readouterr().out
+        assert rc == EXIT_FAILURE
+        assert "[PASS] faults_fired" in out
+        assert "[FAIL] rules_fired: 1 (threshold 2) silent: store.read.corrupt nothing/*" in out
 
     def test_unreadable_plan_is_usage_error(self, tmp_path):
         rc = main([

@@ -38,15 +38,17 @@ class TestColdWarmSmoke:
         assert cold_totals.get("world", {}).get("puts", 0) >= 1
 
         # Warm run: same cache dir, new worker pool.  World construction is
-        # skipped — the manifest shows hydration hits for every heavy kind.
+        # skipped — the manifest shows hydration hits for every stored kind.
+        # Traffic is recomputed from the world and never touches the store.
         clear_contexts()
         warm = _run_all(tmp_path, "warm")
         assert not warm.failures
         warm_totals = warm.cache_totals()
-        for kind in ("world", "traffic", "metrics"):
+        for kind in ("world", "metrics", "providers"):
             assert warm_totals.get(kind, {}).get("hits", 0) > 0, (
                 f"warm run must hydrate {kind} from the store: {warm_totals}"
             )
+        assert "traffic" not in cold_totals and "traffic" not in warm_totals
         assert warm.total_hits() > 0
 
         # Results are numerically identical cold vs warm.

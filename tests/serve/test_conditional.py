@@ -8,13 +8,16 @@ service keeps the whole file on one warm world.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from repro.core.experiments import SPECS, ExperimentResult, ExperimentSpec
+from repro.faults import FaultPlan, FaultRule
 from repro.faults import inject as fault_inject
 from repro.gates import fetch
+from repro.ranking.snapshots import canonical_bytes, snapshot_doc
 from repro.runner import run_experiments
 from repro.serve.server import MetricsService, ServeSettings
 from repro.store import ArtifactStore, config_key
@@ -95,10 +98,13 @@ class TestExperimentEtags:
     def test_etag_is_the_store_checksum(self, service):
         response = _get(service, f"/v1/experiments/{_NAMES[0]}")
         assert response.status == 200
-        checksum = service.store.checksum(
-            config_key(_CONFIG), f"results/{_NAMES[0]}"
+        # The checksum the store recorded in the artifact's header line.
+        path = service.store._path(
+            config_key(_CONFIG), f"results/{_NAMES[0]}", "json"
         )
-        assert checksum is not None
+        header = path.read_bytes().split(b"\n", 1)[0].decode("ascii")
+        checksum = header.rpartition(" sha256=")[2]
+        assert len(checksum) == 64
         assert response.headers["etag"] == '"%s"' % checksum
 
     def test_revalidation_304_with_zero_store_reads(self, service):
@@ -153,6 +159,37 @@ class TestListVersions:
         a = _get(service, "/v1/lists/alexa/0?k=5").headers["etag"]
         b = _get(service, "/v1/lists/alexa/0?k=10").headers["etag"]
         assert a != b
+
+    def test_version_names_the_served_snapshot_not_a_file_on_disk(
+        self, tiny_registry, tmp_path
+    ):
+        # An older snapshot file under the name list versions were once
+        # stored as, and a store that went read-only on ENOSPC: the version
+        # must still be the sha256 of the snapshot this process serves.
+        store = ArtifactStore(tmp_path / "store")
+        key = config_key(_CONFIG)
+        store.put_json(key, "lists/alexa/day-0", {"stale": True})
+        with fault_inject.injecting(
+            FaultPlan([FaultRule("store.write.enospc", match="results/*")])
+        ):
+            store.put_json(key, "results/any", {})
+        assert store.read_only
+        svc = MetricsService(
+            _CONFIG, store,
+            settings=ServeSettings(port=0, deadline_ms=5000.0, drain_seconds=2.0),
+            names=[],
+        )
+        svc.warm()
+        svc.start()
+        try:
+            response = _get(svc, "/v1/lists/alexa/0?k=5")
+        finally:
+            svc.drain(reason="test")
+        assert response.status == 200
+        ctx = svc._context()
+        snapshot = snapshot_doc(ctx.providers["alexa"].daily_list(0), ctx.world)
+        expected = hashlib.sha256(canonical_bytes(snapshot)).hexdigest()
+        assert json.loads(response.body)["version"] == expected
 
 
 class TestDiffEndpoint:

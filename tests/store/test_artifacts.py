@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, FaultRule
+from repro.faults import inject
 from repro.store import (
     SCHEMA_VERSION,
     ArtifactEntry,
@@ -103,18 +107,42 @@ class TestCorruption:
         assert store.get_arrays(KEY, "world/arrays") is None
         assert not path.exists()
 
+    @staticmethod
+    def _observe(store):
+        seen = []
+        store.read_observer = lambda name, status, seconds: seen.append(
+            (name, status, seconds)
+        )
+        return seen
+
+    def _assert_counted_once_as_corrupt(self, store, seen, name, kind):
+        # One read, one verdict: corrupt and a miss, never also a hit.
+        assert store.stats.corrupt == 1
+        assert store.stats.hits == {}
+        assert store.stats.misses == {kind: 1}
+        assert store.stats.bytes_read == 0
+        assert [(n, status) for n, status, _ in seen] == [(name, "corrupt")]
+
     def test_valid_checksum_but_bad_npz_evicted(self, store):
         # Bypass put_arrays: a correctly checksummed payload that numpy
         # cannot parse must also be treated as corruption.
         store._write_payload(KEY, "world/arrays", "npz", b"not an npz archive")
-        assert store.get_arrays(KEY, "world/arrays") is None
-        assert store.stats.corrupt == 1
+        seen = self._observe(store)
+        # A slow read makes the elapsed time the observer gets measurable.
+        plan = FaultPlan([FaultRule("store.read.slow", match="world/*",
+                                    delay_seconds=0.05)])
+        with inject.injecting(plan):
+            assert store.get_arrays(KEY, "world/arrays") is None
+        self._assert_counted_once_as_corrupt(store, seen, "world/arrays", "world")
+        assert seen[0][2] >= 0.05, "the observer gets the read's real elapsed time"
         assert not store._path(KEY, "world/arrays", "npz").exists()
 
     def test_bad_json_payload_evicted(self, store):
         store._write_payload(KEY, "results/fig1", "json", b"{truncated")
+        seen = self._observe(store)
         assert store.get_json(KEY, "results/fig1") is None
-        assert store.stats.corrupt == 1
+        self._assert_counted_once_as_corrupt(store, seen, "results/fig1", "results")
+        assert not store._path(KEY, "results/fig1", "json").exists()
 
 
 def _writer(root: str, worker: int) -> None:
@@ -203,6 +231,97 @@ class TestEviction:
         assert (runs / "run-1.json").exists(), "manifests must never be evicted"
         keys = [entry.key for entry in store.entries()]
         assert all(key.startswith(f"v{SCHEMA_VERSION}/") for key in keys)
+
+
+class TestByteTally:
+    """The running byte tally stands in for a whole-store scan per write."""
+
+    def _assert_tally_exact(self, store):
+        assert store._tally == store.total_bytes()
+
+    def test_matches_a_scan_after_puts_overwrites_evictions_quarantines(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store", max_bytes=60_000)
+        store.put_json(KEY, "results/fig1", {"v": 1})
+        self._assert_tally_exact(store)
+        for day in range(4):
+            store.put_arrays(KEY, f"metrics/day-{day:03d}", {"x": np.zeros(1000)})
+            self._assert_tally_exact(store)
+        # An overwrite with a different size replaces, never double-counts.
+        store.put_arrays(KEY, "metrics/day-000", {"x": np.zeros(3000)})
+        self._assert_tally_exact(store)
+        store.put_json(KEY, "results/fig1", {"v": list(range(100))})
+        self._assert_tally_exact(store)
+        assert store.stats.evictions == 0
+        # Past the cap: evict oldest-first down to it.
+        for day in range(4, 10):
+            store.put_arrays(KEY, f"metrics/day-{day:03d}", {"x": np.zeros(1000)})
+            self._assert_tally_exact(store)
+        assert store.stats.evictions > 0
+        assert store.total_bytes() <= 60_000
+        # A quarantined entry leaves the tally with the store (the flipped
+        # byte keeps the size this instance published).
+        path = store._path(KEY, "metrics/day-009", "npz")
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        assert store.get_arrays(KEY, "metrics/day-009") is None
+        assert store.stats.quarantined == 1
+        self._assert_tally_exact(store)
+
+    def test_overwriting_a_name_does_not_double_count(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        for _ in range(5):
+            store.put_arrays(KEY, "world/arrays", {"x": np.zeros(1000)})
+        self._assert_tally_exact(store)
+        assert store._tally == store.entries()[0].size
+
+    def test_other_writers_seen_at_next_rescan(self, tmp_path):
+        entry = {"x": np.zeros(1000)}  # every entry below has this size
+        first = ArtifactStore(tmp_path / "store", max_bytes=50_000)
+        first.put_arrays(KEY, "metrics/day-000", entry)  # scans, starts the tally
+        size = first.total_bytes()
+        cap = first.max_bytes = size * 5
+        # A second instance (another process, in production) fills the
+        # store past the cap; the first instance's tally does not see it.
+        second = ArtifactStore(tmp_path / "store", max_bytes=None)
+        for day in range(1, 8):
+            second.put_arrays(KEY, f"metrics/day-{day:03d}", entry)
+        assert first.total_bytes() == 8 * size > cap
+        assert first._tally == size
+        # Its writes overshoot the cap until the tally passes it...
+        for day in range(8, 12):
+            first.put_arrays(KEY, f"metrics/day-{day:03d}", entry)
+        assert first.stats.evictions == 0
+        assert first.total_bytes() == 12 * size
+        # ...and then the rescan sees everything and evicts down to the cap.
+        first.put_arrays(KEY, "metrics/day-012", entry)
+        assert first.stats.evictions == 13 - 5
+        assert first.total_bytes() <= cap
+        self._assert_tally_exact(first)
+        assert first.get_arrays(KEY, "metrics/day-012") is not None
+
+    def test_threaded_puts_keep_the_tally_consistent(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        store.put_json(KEY, "results/seed", {})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def writer(worker):
+                for i in range(40):
+                    # Shared names (overwrites) and per-thread names.
+                    store.put_json(KEY, f"results/shared-{i % 5}", {"w": worker, "i": i})
+                    store.put_json(KEY, f"results/own-{worker}-{i}", {"i": [i] * worker})
+
+            threads = [threading.Thread(target=writer, args=(w,)) for w in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert store.stats.write_errors == 0
+        self._assert_tally_exact(store)
 
 
 def _pathlib_entries(store):

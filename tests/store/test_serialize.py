@@ -1,4 +1,5 @@
-"""Hydration round-trips: world, traffic, metrics, and provider artifacts."""
+"""Hydration round-trips: world, metrics, and provider artifacts, and
+traffic recomputed over a hydrated world."""
 
 from __future__ import annotations
 
@@ -12,13 +13,12 @@ from repro.store import (
     ArtifactStore,
     StoredProvider,
     attach_engine_store,
-    attach_traffic_store,
     config_key,
     load_or_build_world,
     wrap_providers,
 )
 from repro.telemetry.chrome import ChromeTelemetry
-from repro.traffic.fastpath import TrafficModel
+from repro.traffic.fastpath import DayTraffic, TrafficModel
 from repro.worldgen.world import build_world
 from tests.conftest import TINY_CONFIG
 
@@ -65,26 +65,24 @@ class TestWorldArrays:
         assert store.stats.puts == {"world": 2}
 
 
-class TestTrafficHooks:
-    def test_day_round_trips_through_store(self, tiny_world, store):
-        cold = TrafficModel(tiny_world)
-        attach_traffic_store(cold, store, CFG_KEY)
-        original = cold.day(2)
-        assert store.stats.puts == {"traffic": 1}
-
-        warm = TrafficModel(tiny_world)
-        attach_traffic_store(warm, store, CFG_KEY)
-        loaded = warm.day(2)
-        assert store.stats.hits == {"traffic": 1}
-        for slot in original.__slots__:
-            np.testing.assert_array_equal(getattr(loaded, slot), getattr(original, slot))
-
-    def test_in_memory_cache_skips_store(self, tiny_world, store):
-        traffic = TrafficModel(tiny_world)
-        attach_traffic_store(traffic, store, CFG_KEY)
-        traffic.day(1)
-        traffic.day(1)
-        assert store.stats.misses.get("traffic", 0) == 1  # only the cold call
+class TestTrafficOverHydratedWorld:
+    def test_every_day_bit_identical_to_fresh_world(self, store):
+        # Traffic is never stored: it is recomputed from the world, and a
+        # store-hydrated world must feed it the same bits a fresh one does.
+        load_or_build_world(store, CFG_KEY, TINY_CONFIG)
+        hydrated = load_or_build_world(store, CFG_KEY, TINY_CONFIG)
+        assert store.stats.hits == {"world": 1}
+        fresh = TrafficModel(build_world(TINY_CONFIG))
+        warm = TrafficModel(hydrated)
+        for attr in ("pages_per_visit", "ip_ua_spread"):
+            assert getattr(warm, attr).tobytes() == getattr(fresh, attr).tobytes()
+        for day in range(TINY_CONFIG.n_days):
+            expected, actual = fresh.day(day), warm.day(day)
+            for slot in DayTraffic.__slots__:
+                assert getattr(actual, slot).tobytes() == getattr(expected, slot).tobytes(), (
+                    f"day {day} {slot}"
+                )
+        assert "traffic" not in store.stats.puts
 
 
 class TestEngineHooks:

@@ -31,6 +31,12 @@ def test_cli_import_skips_scipy_stats():
     assert not _loaded_after("repro.cli", "scipy.stats")
 
 
+def test_cli_import_skips_scipy():
+    """No scipy at all: ``scipy.special`` loads inside the two p-value
+    functions, which ``repro serve`` never calls, and costs about 0.3 s."""
+    assert not _loaded_after("repro.cli", "scipy")
+
+
 def test_serve_import_skips_qa():
     """The Dowdall oracle and the goldens load only where a check runs,
     never in a ``repro serve`` child."""
