@@ -3,7 +3,7 @@
 Layers, one module per concern:
 
 * :mod:`repro.serve.server` — the HTTP service itself (routes, deadlines,
-  warmup, golden verification, metrics).
+  warmup, golden verification, the response cache, metrics).
 * :mod:`repro.serve.shed` — bounded admission (load shedding).
 * :mod:`repro.serve.breaker` — circuit breaking around store reads, plus
   the last-known-good response cache.

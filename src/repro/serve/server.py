@@ -7,7 +7,8 @@ serving workload demands:
 * ``GET /v1/experiments`` — the registry, with per-experiment availability.
 * ``GET /v1/experiments/<name>`` — one experiment's stored result
   (title, text, structured data), golden-verified before it is ever
-  served.
+  served, then replayed as the stored bytes whenever their checksum
+  equals the verified reference.
 * ``GET /v1/lists`` — the lists index: available providers, the
   simulated day window, and the ``k`` bounds, so clients (the loadgen
   personas foremost) discover valid targets instead of hardcoding them.
@@ -51,10 +52,14 @@ Hardening, in one place per concern:
   complete structured log, and exits 0.
 * **conditional GET** — every 200 from the ``/v1`` read surfaces
   carries a strong ``ETag`` (sha256 of the canonical body; for stored
-  experiment results this equals the artifact store's recorded
-  checksum), and ``If-None-Match`` answers 304 with an empty body
-  *without touching the store or recomputing the list* — the ETag cache
-  is consulted before any expensive work.
+  experiment results this is the artifact store's recorded checksum,
+  served without hashing again), and ``If-None-Match`` answers 304 with
+  an empty body *without touching the store or recomputing the list* —
+  the response cache is consulted before any expensive work.
+* **one response cache** — each list-shaped body (slice, diff,
+  stability) is rendered once per key and kept with its ETag in one
+  bounded LRU (:data:`ETAG_CACHE_CAPACITY` entries), keyed by whether
+  data chaos is armed; a repeat answers from it, a 304 from its ETag.
 * **canonical errors** — every 4xx/5xx body is the one envelope
   ``{"error": <token>, "detail": <human text>, "retry_after": <s>?}``
   (the DESIGN.md API rule); ``retry_after`` appears exactly when the
@@ -122,8 +127,15 @@ DEFAULT_PORT = 8321
 #: the estimate is guesswork and a client should just poll.
 RETRY_AFTER_CAP = 30
 
-#: Response ETags remembered for the 304 fast path; oldest dropped first.
+#: List-shaped responses (slice, diff, stability) kept as ``(ETag, body)``
+#: for the 304 fast path and for replaying a repeat 200; least recently
+#: used dropped first.  The largest body at ``max_k`` = 1000 is a diff of
+#: about 84 KB, so the cache holds at most about 21 MiB.
 ETAG_CACHE_CAPACITY = 256
+
+#: Cache key of a list-shaped response: the route's parameters, then
+#: whether data chaos was armed.
+_ResponseKey = Tuple[object, ...]
 
 
 def dynamic_retry_after(
@@ -300,7 +312,8 @@ class MetricsService:
         golden_dir: when given and the goldens match ``config``, warmup
           verifies every stored result against its golden snapshot and
           refuses to serve drifted bodies.
-        access_log: structured log sink (default: in-memory only).
+        access_log: structured log sink (default: in-memory only, the
+          newest :data:`~repro.serve.logfmt.MEMORY_LINES` records).
         tracer: the :class:`repro.obs.Tracer` carrying service counters.
     """
 
@@ -334,6 +347,7 @@ class MetricsService:
         self._reference: Dict[str, str] = {}
         self._not_golden: Dict[str, str] = {}  # name -> why warmup refused it
         self._read_status = threading.local()
+        self._ready = False
         self._counters_lock = threading.Lock()
         self._by_status: Dict[int, int] = {}
         self._by_route: Dict[str, int] = {}
@@ -364,15 +378,18 @@ class MetricsService:
         self._data_lock = threading.Lock()
         self._data_feed: Optional[DegradedFeed] = None
         self._data_streams: Dict[str, ProviderStream] = {}
-        # Conditional-GET state: response ETags by cache key (checked
-        # before any store read or list computation — the 304 fast path),
-        # snapshot versions by (provider, day), and finished stability
-        # bodies.  All guarded by one lock; all bounded.
+        # Conditional-GET state: finished list-shaped responses as (ETag,
+        # body) by cache key (checked before any store read or list
+        # computation — the 304 fast path and the replay of a repeat),
+        # and snapshot versions by (provider, day, data chaos armed).
+        # Both guarded by one lock; the responses bounded, the versions
+        # at most two per (provider, day).
         self._etag_lock = threading.Lock()
-        self._response_etags: "OrderedDict[str, str]" = OrderedDict()
-        self._list_versions: Dict[Tuple[str, int], str] = {}
-        self._stability_cache: "OrderedDict[str, Tuple[bytes, str]]" = OrderedDict()
-        self._ready = False
+        self._responses: "OrderedDict[_ResponseKey, Tuple[str, bytes]]" = OrderedDict()
+        self._list_versions: Dict[Tuple[str, int, bool], str] = {}
+        # The experiments index: fixed once warmup ends, and re-rendered
+        # there (until then every experiment reads "missing").
+        self._index = self._render_index()
         self._draining = False
         self._started_at = time.time()
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -391,35 +408,64 @@ class MetricsService:
         Returns ``(body, failure)``: a canonical JSON body (or None) and
         the failure classification (None when the read is healthy —
         which includes a clean miss for a result that never existed).
+
+        A payload whose checksum equals the warmup-pinned reference is
+        byte-equal to the golden-verified body, so it is the body as it
+        is: no decode, no schema check, no second hash.  Only a payload
+        whose digest differs (and every read during warmup) is decoded,
+        to tell ``invalid`` from ``drift``.
         """
         self._read_status.last = ("miss", 0.0)
-        blob = self.store.get_json(self._cfg_key, f"results/{name}")
+        read = self.store.get_json_bytes(self._cfg_key, f"results/{name}")
         status, seconds = self._read_status.last
         if status == "corrupt":
             return None, "corrupt"
-        if blob is None:
+        if read is None:
             # A result we once verified has vanished (quarantined by a
             # corrupt read, or evicted): that is a dependency failure.  A
             # result that never existed is an honest 404.
             return None, ("lost" if name in self._reference else None)
+        body, digest = read
+        reference = self._reference.get(name)
+        if reference != f'"{digest}"':
+            body, failure = self._decode_result(body, reference)
+            if failure is not None:
+                return None, failure
+        if seconds > self.settings.slow_read_seconds:
+            return body, "slow"
+        return body, None
+
+    def _decode_result(
+        self, payload: bytes, reference: Optional[str]
+    ) -> Tuple[Optional[bytes], Optional[str]]:
+        """``(canonical body, None)`` for a stored result whose digest
+        missed the reference, or ``(None, "invalid" | "drift")``.
+
+        A checksum-valid payload that is not canonical JSON but decodes
+        to the reference is served as its canonical bytes.
+        """
+        if self._ready:
+            self.tracer.count_root("serve.results_decoded")
+        try:
+            blob = json.loads(payload.decode("utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
+            return None, "invalid"
         if not isinstance(blob, dict) or blob.get("schema_version") != SCHEMA_VERSION:
             return None, "invalid"
         body = canonical_bytes(blob)
-        reference = self._reference.get(name)
         if reference is not None and snapshot_etag(body) != reference:
             # Never serve a body that drifted from the golden-verified
             # reference — answer from last-known-good instead.
             with self._counters_lock:
                 self.non_golden_blocked += 1
             return None, "drift"
-        if seconds > self.settings.slow_read_seconds:
-            return body, "slow"
         return body, None
 
     def _repair(self, name: str, body: bytes) -> None:
-        """Write a last-known-good body back to the store (self-healing:
-        a quarantined or lost blob becomes a hit again)."""
-        self.store.put_json(self._cfg_key, f"results/{name}", json.loads(body))
+        """Write a last-known-good body back to the store, verbatim
+        (self-healing: a quarantined, lost or invalid blob becomes a hit
+        again, and its header checksum is the reference)."""
+        self.store.put_json_bytes(self._cfg_key, f"results/{name}", body)
         with self._counters_lock:
             self.repairs += 1
         self.tracer.count_root("serve.repairs")
@@ -460,6 +506,7 @@ class MetricsService:
             statuses[name] = "ok"
         if build_lists:
             self._context()
+        self._index = self._render_index()
         self._ready = True
         available = sum(1 for status in statuses.values() if status == "ok")
         self.log.write(
@@ -932,6 +979,14 @@ class MetricsService:
     def _get_index(
         self, inm: Optional[str] = None
     ) -> Tuple[int, bytes, Dict[str, str], str]:
+        body, etag = self._index
+        if _etag_matches(inm, etag):
+            return self._not_modified(etag, "index")
+        return 200, body, {"ETag": etag}, "index"
+
+    def _render_index(self) -> Tuple[bytes, str]:
+        """The experiments index body and its ETag: a function of the
+        registry and of the warmup verdicts only."""
         rows = []
         for name in self.names:
             spec = SPECS.get(name)
@@ -947,10 +1002,7 @@ class MetricsService:
                 "path": f"/v1/experiments/{name}",
             })
         body = canonical_bytes({"experiments": rows, "config_key": self._cfg_key})
-        etag = snapshot_etag(body)
-        if _etag_matches(inm, etag):
-            return self._not_modified(etag, "index")
-        return 200, body, {"ETag": etag}, "index"
+        return body, snapshot_etag(body)
 
     def _get_experiment(
         self, name: str, deadline: float, inm: Optional[str] = None
@@ -978,9 +1030,7 @@ class MetricsService:
         if not self.breaker.allow():
             body = self.lkg.get(name)
             if body is not None:
-                return 200, body, self._body_headers(
-                    body, {"X-Repro-Source": "last-known-good"}
-                ), "lkg-open"
+                return self._experiment_body(name, body, "last-known-good", "lkg-open")
             body, headers = self._retry_error("unavailable", "store circuit open")
             return 503, body, headers, "breaker-open"
         if time.perf_counter() >= deadline:
@@ -999,25 +1049,19 @@ class MetricsService:
                 ), {}, "miss"
             self.breaker.record_success()
             self.lkg.put(name, body)
-            return 200, body, self._body_headers(
-                body, {"X-Repro-Source": "store"}
-            ), "store"
+            return self._experiment_body(name, body, "store", "store")
         self.breaker.record_failure(failure)
         self.tracer.count_root(f"serve.read_failures.{failure}")
         if failure == "slow" and body is not None:
             # Slow but valid: serve it (it passed the digest check) while
             # the breaker accounts for the latency.
             self.lkg.put(name, body)
-            return 200, body, self._body_headers(
-                body, {"X-Repro-Source": "store-slow"}
-            ), "store-slow"
+            return self._experiment_body(name, body, "store-slow", "store-slow")
         fallback = self.lkg.get(name)
         if fallback is not None:
             if failure in ("corrupt", "lost", "invalid"):
                 self._repair(name, fallback)
-            return 200, fallback, self._body_headers(
-                fallback, {"X-Repro-Source": "last-known-good"}
-            ), "lkg"
+            return self._experiment_body(name, fallback, "last-known-good", "lkg")
         body, headers = self._retry_error(
             "unavailable",
             f"store read failed ({failure}) and no last-known-good copy",
@@ -1054,7 +1098,7 @@ class MetricsService:
             "config_key": self._cfg_key,
             "data_chaos": self._data_chaos_armed(),
         })
-        return 200, body, self._body_headers(body, {}), "lists-index"
+        return 200, body, {"ETag": snapshot_etag(body)}, "lists-index"
 
     def _parse_k(self, raw_path: str) -> Tuple[Optional[int], Optional[bytes]]:
         """The validated, clamped ``?k=`` value, or an error body."""
@@ -1097,14 +1141,14 @@ class MetricsService:
         k, error = self._parse_k(raw_path)
         if error is not None:
             return 400, error, {}, "router"
-        # Conditional fast path: a cached ETag means this exact
-        # representation was served before, and list bodies are pure
-        # functions of the config — a match answers without touching the
-        # providers or the store.
-        cache_key = f"lists:{provider}:{day}:{k}"
-        etag = self._cached_etag(cache_key)
-        if etag is not None and _etag_matches(inm, etag):
-            return self._not_modified(etag, "lists")
+        # A cached response means this exact representation was served
+        # before, and list bodies are pure functions of the config and of
+        # the memoized data-health resolution: a repeat answers (304 or
+        # 200) without touching the providers or the store.
+        cache_key = ("lists", provider, day, k, self._data_chaos_armed())
+        cached = self._replay(cache_key, inm, "lists")
+        if cached is not None:
+            return cached
         ctx = self._context()
         if provider not in ctx.providers:
             return 404, _error_body(
@@ -1142,10 +1186,7 @@ class MetricsService:
             # clean serving of the same list: the marking is part of the
             # representation, not response decoration.
             doc["data_health"] = data_health
-        body = canonical_bytes(doc)
-        etag = snapshot_etag(body)
-        self._remember_etag(cache_key, etag)
-        return 200, body, {"ETag": etag}, "lists"
+        return self._render(cache_key, doc, "lists")
 
     def _get_diff(
         self, raw_path: str, path: str, deadline: float, inm: Optional[str] = None
@@ -1155,8 +1196,8 @@ class MetricsService:
         (with signed delta), unchanged count.
 
         Serving behavior (DESIGN.md serving rule): admission-gated and
-        deadline-budgeted; both days' lists come from the bounded ranked
-        cache, and repeat requests answer 304 from the ETag cache alone.
+        deadline-budgeted; both days' lists come from the providers'
+        memoized builds, and a repeat answers from the response cache.
         """
         provider = path[len("/v1/lists/"):].split("/")[0]
         query = parse_qs(urlsplit(raw_path).query)
@@ -1176,10 +1217,10 @@ class MetricsService:
         k, error = self._parse_k(raw_path)
         if error is not None:
             return 400, error, {}, "router"
-        cache_key = f"diff:{provider}:{from_day}:{to_day}:{k}"
-        etag = self._cached_etag(cache_key)
-        if etag is not None and _etag_matches(inm, etag):
-            return self._not_modified(etag, "lists-diff")
+        cache_key = ("diff", provider, from_day, to_day, k, self._data_chaos_armed())
+        cached = self._replay(cache_key, inm, "lists-diff")
+        if cached is not None:
+            return cached
         ctx = self._context()
         if provider not in ctx.providers:
             return 404, _error_body(
@@ -1197,10 +1238,7 @@ class MetricsService:
         to_names = self._ranked(provider, to_day).head(k).strings(ctx.world)
         doc = {"provider": provider, "from": from_day, "to": to_day, "k": k}
         doc.update(diff_ranked(from_names, to_names))
-        body = canonical_bytes(doc)
-        etag = snapshot_etag(body)
-        self._remember_etag(cache_key, etag)
-        return 200, body, {"ETag": etag}, "lists-diff"
+        return self._render(cache_key, doc, "lists-diff")
 
     def _get_stability(
         self, raw_path: str, path: str, deadline: float, inm: Optional[str] = None
@@ -1212,16 +1250,17 @@ class MetricsService:
         Serving behavior (DESIGN.md serving rule): the first request per
         (provider, k) walks every day's list with the deadline re-checked
         between days (504 rather than a blown budget); the finished body
-        is cached, so later requests — and 304s — are O(1).
+        goes into the response cache, so later requests — and 304s — are
+        O(1).
         """
         provider = path[len("/v1/lists/"):].split("/")[0]
         k, error = self._parse_k(raw_path)
         if error is not None:
             return 400, error, {}, "router"
-        cache_key = f"stability:{provider}:{k}"
-        etag = self._cached_etag(cache_key)
-        if etag is not None and _etag_matches(inm, etag):
-            return self._not_modified(etag, "lists-stability")
+        cache_key = ("stability", provider, k, self._data_chaos_armed())
+        cached = self._replay(cache_key, inm, "lists-stability")
+        if cached is not None:
+            return cached
         ctx = self._context()
         if provider not in ctx.providers:
             return 404, _error_body(
@@ -1229,11 +1268,6 @@ class MetricsService:
                 f"unknown provider {provider!r}; choose from "
                 + ", ".join(ctx.providers),
             ), {}, "router"
-        with self._etag_lock:
-            cached = self._stability_cache.get(cache_key)
-        if cached is not None:
-            body, etag = cached
-            return 200, body, {"ETag": etag}, "lists-stability"
         tracker = StabilityTracker(k)
         degraded_statuses: Dict[str, int] = {}
         for day in range(self.config.n_days):
@@ -1263,14 +1297,7 @@ class MetricsService:
                 "degraded_days": len(doc.get("degraded_days", [])),
                 "by_status": dict(sorted(degraded_statuses.items())),
             }
-        body = canonical_bytes(doc)
-        etag = snapshot_etag(body)
-        with self._etag_lock:
-            self._stability_cache[cache_key] = (body, etag)
-            while len(self._stability_cache) > 16:
-                self._stability_cache.popitem(last=False)
-        self._remember_etag(cache_key, etag)
-        return 200, body, {"ETag": etag}, "lists-stability"
+        return self._render(cache_key, doc, "lists-stability")
 
     # ------------------------------------------------------------------
     # Conditional-GET plumbing.
@@ -1286,9 +1313,11 @@ class MetricsService:
         version must name the bytes this process serves, never an older
         file left on disk.  Under data chaos the ``data_health`` block is
         part of the snapshot, so a degraded day's version can never
-        collide with its clean twin.
+        collide with its clean twin; versions are keyed by that armed
+        state, so arming data chaos at runtime never reports the clean
+        snapshot's version.
         """
-        key = (provider, day)
+        key = (provider, day, data_health is not None)
         with self._etag_lock:
             version = self._list_versions.get(key)
         if version is not None:
@@ -1300,16 +1329,35 @@ class MetricsService:
             self._list_versions[key] = version
         return version
 
-    def _cached_etag(self, cache_key: str) -> Optional[str]:
+    def _replay(
+        self, cache_key: _ResponseKey, inm: Optional[str], source: str
+    ) -> Optional[Tuple[int, bytes, Dict[str, str], str]]:
+        """Answer from the response cache — a 304 when ``If-None-Match``
+        matches the cached ETag, else the cached 200 — or None on a miss."""
         with self._etag_lock:
-            return self._response_etags.get(cache_key)
+            cached = self._responses.get(cache_key)
+            if cached is None:
+                return None
+            self._responses.move_to_end(cache_key)
+        etag, body = cached
+        if _etag_matches(inm, etag):
+            return self._not_modified(etag, source)
+        self.tracer.count_root("serve.bodies_replayed")
+        return 200, body, {"ETag": etag}, source
 
-    def _remember_etag(self, cache_key: str, etag: str) -> None:
+    def _render(
+        self, cache_key: _ResponseKey, doc: Dict, source: str
+    ) -> Tuple[int, bytes, Dict[str, str], str]:
+        """Serialize a list-shaped document once, keep it in the response
+        cache, and answer it as a 200."""
+        body = canonical_bytes(doc)
+        etag = snapshot_etag(body)
         with self._etag_lock:
-            self._response_etags[cache_key] = etag
-            self._response_etags.move_to_end(cache_key)
-            while len(self._response_etags) > ETAG_CACHE_CAPACITY:
-                self._response_etags.popitem(last=False)
+            self._responses[cache_key] = (etag, body)
+            self._responses.move_to_end(cache_key)
+            while len(self._responses) > ETAG_CACHE_CAPACITY:
+                self._responses.popitem(last=False)
+        return 200, body, {"ETag": etag}, source
 
     def _not_modified(
         self, etag: str, source: str
@@ -1320,13 +1368,16 @@ class MetricsService:
         self.tracer.count_root("serve.not_modified")
         return 304, b"", {"ETag": etag}, f"{source}-304"
 
-    def _body_headers(
-        self, body: bytes, headers: Dict[str, str]
-    ) -> Dict[str, str]:
-        """Headers for a 200 with a content-addressed body: strong ETag."""
-        merged = dict(headers)
-        merged["ETag"] = snapshot_etag(body)
-        return merged
+    def _experiment_body(
+        self, name: str, body: bytes, served_from: str, source: str
+    ) -> Tuple[int, bytes, Dict[str, str], str]:
+        """A 200 for a verified experiment body.  Its ETag is the
+        warmup-pinned reference, which every body served under one equals
+        byte for byte (a stored payload by its checksum, a decoded one by
+        its hash, a last-known-good copy by construction); only a result
+        that had no reference at warmup is hashed here."""
+        etag = self._reference.get(name) or snapshot_etag(body)
+        return 200, body, {"X-Repro-Source": served_from, "ETag": etag}, source
 
     # ------------------------------------------------------------------
     # Metrics.
@@ -1386,7 +1437,7 @@ class MetricsService:
             },
             "conditional": {
                 "not_modified_total": not_modified,
-                "etags_cached": len(self._response_etags),
+                "etags_cached": len(self._responses),
                 "snapshot_versions": len(self._list_versions),
             },
             "breaker": self.breaker.snapshot(),

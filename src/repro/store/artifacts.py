@@ -61,7 +61,7 @@ import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -113,6 +113,10 @@ def _decode_npz(payload: bytes) -> Dict[str, np.ndarray]:
 def _decode_json(payload: bytes) -> Any:
     # UnicodeDecodeError and json.JSONDecodeError are both ValueErrors.
     return json.loads(payload.decode("utf-8"))
+
+
+def _verbatim(payload: bytes) -> bytes:
+    return payload
 
 
 def config_key(config: WorldConfig) -> str:
@@ -239,8 +243,9 @@ class ArtifactStore:
 
     def _read_payload(
         self, cfg_key: str, name: str, ext: str, decode: Callable[[bytes], Any]
-    ) -> Optional[Any]:
-        """Read, checksum and decode one artifact; None on miss or corruption.
+    ) -> Optional[Tuple[Any, str]]:
+        """Read, checksum and decode one artifact: ``(value, sha256 hex of
+        the payload)``, or None on miss or corruption.
 
         A payload that fails its checksum or fails to decode is counted
         once, as corrupt and as a miss, and quarantined; only a decoded
@@ -301,7 +306,7 @@ class ArtifactStore:
         obs.count("store.hits")
         obs.count("store.bytes_read", len(payload))
         self._notify_read(name, "hit", started)
-        return value
+        return value, expected
 
     def _write_payload(self, cfg_key: str, name: str, ext: str, payload: bytes) -> None:
         if self._read_only:
@@ -448,7 +453,8 @@ class ArtifactStore:
 
     def get_arrays(self, cfg_key: str, name: str) -> Optional[Dict[str, np.ndarray]]:
         """Load a numpy artifact, or None on miss/corruption."""
-        return self._read_payload(cfg_key, name, "npz", _decode_npz)
+        read = self._read_payload(cfg_key, name, "npz", _decode_npz)
+        return None if read is None else read[0]
 
     def put_arrays(self, cfg_key: str, name: str, arrays: Mapping[str, np.ndarray]) -> None:
         """Persist a numpy artifact atomically."""
@@ -458,7 +464,18 @@ class ArtifactStore:
 
     def get_json(self, cfg_key: str, name: str) -> Optional[Any]:
         """Load a JSON artifact, or None on miss/corruption."""
-        return self._read_payload(cfg_key, name, "json", _decode_json)
+        read = self._read_payload(cfg_key, name, "json", _decode_json)
+        return None if read is None else read[0]
+
+    def get_json_bytes(self, cfg_key: str, name: str) -> Optional[Tuple[bytes, str]]:
+        """A JSON artifact's payload, checksum-verified but not decoded,
+        with its sha256 hex (the header checksum the read just verified);
+        None on miss/corruption.
+
+        Same fault sites, counters, observer call and LRU refresh as
+        :meth:`get_json`; a payload that is not JSON is still a hit.
+        """
+        return self._read_payload(cfg_key, name, "json", _verbatim)
 
     def put_json(self, cfg_key: str, name: str, value: Any) -> None:
         """Persist a JSON artifact atomically.
@@ -467,7 +484,11 @@ class ArtifactStore:
         recorded checksum is the sha256 of the value's canonical bytes
         (:func:`repro.ranking.snapshots.canonical_bytes`).
         """
-        payload = json.dumps(value, sort_keys=True).encode("utf-8")
+        self.put_json_bytes(cfg_key, name, json.dumps(value, sort_keys=True).encode("utf-8"))
+
+    def put_json_bytes(self, cfg_key: str, name: str, payload: bytes) -> None:
+        """Persist ready-made JSON bytes atomically, as they are: the
+        recorded checksum is ``sha256(payload)``."""
         self._write_payload(cfg_key, name, "json", payload)
 
     # ------------------------------------------------------------------

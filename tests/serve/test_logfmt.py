@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.serve.logfmt import AccessLog, logfmt, parse_logfmt
+from repro.serve.logfmt import MEMORY_LINES, AccessLog, logfmt, parse_logfmt
 
 
 class TestLogfmt:
@@ -124,3 +124,23 @@ class TestAccessLog:
             parsed = parse_logfmt(line)
             assert parsed["event"] == "request"
             assert parsed["msg"] == "two words here"
+
+    def test_memory_copy_is_a_ring_of_the_newest_lines(self, tmp_path):
+        target = tmp_path / "access.log"
+        log = AccessLog(target)
+        total = MEMORY_LINES + 500
+        for i in range(total):
+            if i == total - 10:
+                log.write("breaker.open", reason="corrupt")
+            else:
+                log.write("request", i=i)
+        log.close()
+        lines = log.lines()
+        assert len(lines) == MEMORY_LINES
+        indices = [int(parse_logfmt(line).get("i", -1)) for line in lines]
+        assert indices[0] == total - MEMORY_LINES
+        assert [i for i in indices if i >= 0] == sorted(i for i in indices if i >= 0)
+        assert parse_logfmt(lines[-1])["i"] == str(total - 1)
+        assert [e["reason"] for e in log.events("breaker.open")] == ["corrupt"]
+        # The file sink still has every line.
+        assert len(target.read_text().splitlines()) == total

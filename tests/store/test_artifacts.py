@@ -7,6 +7,8 @@ torn reads, and LRU eviction respects the byte cap.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import multiprocessing
 import os
 import sys
@@ -56,6 +58,38 @@ class TestRoundTrip:
         value = {"name": "fig1", "rows": [1, 2, 3], "nested": {"a": 0.5}}
         store.put_json(KEY, "results/fig1", value)
         assert store.get_json(KEY, "results/fig1") == value
+
+    def test_json_bytes_are_the_verified_payload_and_its_checksum(self, store):
+        value = {"name": "fig1", "rows": [1, 2, 3], "nested": {"a": 0.5}}
+        store.put_json(KEY, "results/fig1", value)
+        seen = []
+        store.read_observer = lambda name, status, seconds: seen.append(status)
+        payload, digest = store.get_json_bytes(KEY, "results/fig1")
+        assert payload == json.dumps(value, sort_keys=True).encode("utf-8")
+        header = store._path(KEY, "results/fig1", "json").read_bytes().split(b"\n", 1)[0]
+        assert header.decode("ascii").rpartition(" sha256=")[2] == digest
+        assert digest == hashlib.sha256(payload).hexdigest()
+        assert store.stats.hits == {"results": 1}
+        assert store.stats.bytes_read == len(payload)
+        assert seen == ["hit"]
+
+    def test_json_bytes_written_verbatim(self, store):
+        payload = b'{"b": 1,  "a": 2}'  # not canonical: stored as given
+        store.put_json_bytes(KEY, "results/raw", payload)
+        assert store.get_json_bytes(KEY, "results/raw") == (
+            payload, hashlib.sha256(payload).hexdigest()
+        )
+        assert store.get_json(KEY, "results/raw") == {"a": 2, "b": 1}
+
+    def test_json_bytes_do_not_decode(self, store):
+        # Checksum-valid but not JSON: a hit for the byte reader, which
+        # leaves judging the payload to its caller; get_json quarantines it.
+        store.put_json_bytes(KEY, "results/text", b"not json")
+        assert store.get_json_bytes(KEY, "results/text")[0] == b"not json"
+        assert store.stats.corrupt == 0
+        assert store.get_json(KEY, "results/text") is None
+        assert store.stats.corrupt == 1
+        assert store.get_json_bytes(KEY, "results/text") is None
 
     def test_miss_returns_none_and_counts(self, store):
         assert store.get_arrays(KEY, "world/arrays") is None

@@ -41,3 +41,10 @@ def test_serve_import_skips_qa():
     """The Dowdall oracle and the goldens load only where a check runs,
     never in a ``repro serve`` child."""
     assert not _loaded_after("repro.serve.server", "repro.qa")
+
+
+def test_cli_import_skips_serve_and_ranking():
+    """``repro list`` and every other CLI start import the commands lazily:
+    the service and the ranking layer load only where a command runs."""
+    assert not _loaded_after("repro.cli", "repro.serve")
+    assert not _loaded_after("repro.cli", "repro.ranking")
