@@ -27,8 +27,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.faults.plan import default_serve_plan
-from repro.ranking.snapshots import canonical_bytes
-from repro.store.artifacts import ArtifactStore, config_key
+from repro.store.artifacts import ArtifactStore, canonical_bytes, config_key
 from repro.worldgen.config import WorldConfig
 
 __all__ = [

@@ -145,11 +145,85 @@ class HttpResponse:
     bytes_out: int
 
 
-def _extra_header_lines(headers: Optional[Mapping[str, str]]) -> str:
-    """Render caller-supplied request headers (e.g. ``If-None-Match``)."""
-    if not headers:
-        return ""
-    return "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+def _request_bytes(
+    host: str,
+    port: int,
+    path: str,
+    headers: Optional[Mapping[str, str]],
+    close: bool,
+) -> bytes:
+    """One GET request, with caller-supplied headers (e.g.
+    ``If-None-Match``) and, for a one-shot socket, ``Connection: close``."""
+    extra = "".join(
+        f"{name}: {value}\r\n" for name, value in (headers or {}).items()
+    )
+    return (
+        f"GET {path} HTTP/1.1\r\n"
+        f"Host: {host}:{port}\r\n"
+        "User-Agent: repro-loadgen\r\n"
+        "Accept: application/json\r\n"
+        f"{extra}"
+        + ("Connection: close\r\n" if close else "")
+        + "\r\n"
+    ).encode("ascii")
+
+
+async def _read_response(
+    reader: asyncio.StreamReader,
+    status_line: bytes,
+    started: float,
+    bytes_out: int,
+) -> Tuple[HttpResponse, bool]:
+    """The one response reader: everything after the status line.
+
+    Returns the response and whether its connection may carry another
+    request (``Content-Length`` framing, not HTTP/1.0, no
+    ``Connection: close``).
+
+    Raises:
+        GarbledResponse: the status line did not parse as HTTP.
+        TruncatedBody: EOF before ``Content-Length`` bytes arrived.
+        asyncio.IncompleteReadError: EOF in the middle of the headers.
+    """
+    parts = status_line.decode("latin-1").split(" ", 2)
+    # The protocol token must be checked too: corruption that clobbers
+    # "HTTP" can leave a digit second token behind.
+    if len(parts) < 2 or not parts[0].startswith("HTTP/") or not parts[1].isdigit():
+        raise GarbledResponse(f"malformed status line {status_line!r}")
+    headers: Dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n"):
+            break
+        if line == b"":
+            # EOF where a header (or the blank line) belongs is a dropped
+            # connection, never the end of headers — treating it as such
+            # would hand back a body with no framing at all.
+            raise asyncio.IncompleteReadError(b"", None)
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length")
+    framed = length is not None and length.isdigit()
+    if framed:
+        try:
+            body = await reader.readexactly(int(length))
+        except asyncio.IncompleteReadError as exc:
+            raise TruncatedBody(int(length), len(exc.partial)) from exc
+    else:
+        body = await reader.read()
+    reuse_ok = (
+        framed
+        and parts[0] != "HTTP/1.0"
+        and headers.get("connection", "").lower() != "close"
+    )
+    response = HttpResponse(
+        status=int(parts[1]),
+        headers=headers,
+        body=body,
+        latency_seconds=time.perf_counter() - started,
+        bytes_out=bytes_out,
+    )
+    return response, reuse_ok
 
 
 async def http_get(
@@ -159,73 +233,29 @@ async def http_get(
     timeout: float = 5.0,
     headers: Optional[Mapping[str, str]] = None,
 ) -> HttpResponse:
-    """One HTTP/1.1 GET with ``Connection: close``; reads the full body.
+    """One HTTP/1.1 GET on a fresh socket with ``Connection: close``;
+    reads the full body.
 
     Raises:
         asyncio.TimeoutError: the whole exchange exceeded ``timeout``.
-        GarbledResponse: the status line did not parse as HTTP.
+        GarbledResponse: the status line did not parse as HTTP (an EOF
+          before any response byte included).
         TruncatedBody: EOF before ``Content-Length`` bytes arrived.
         asyncio.IncompleteReadError: EOF in the middle of the headers.
         OSError: connect/reset failures.
     """
-    extra_lines = _extra_header_lines(headers)
 
     async def _exchange() -> HttpResponse:
         started = time.perf_counter()
         reader, writer = await asyncio.open_connection(host, port)
         try:
-            request = (
-                f"GET {path} HTTP/1.1\r\n"
-                f"Host: {host}:{port}\r\n"
-                "User-Agent: repro-loadgen\r\n"
-                "Accept: application/json\r\n"
-                f"{extra_lines}"
-                "Connection: close\r\n"
-                "\r\n"
-            ).encode("ascii")
+            request = _request_bytes(host, port, path, headers, close=True)
             writer.write(request)
             await writer.drain()
-            status_line = await reader.readline()
-            parts = status_line.decode("latin-1").split(" ", 2)
-            # The protocol token must be checked too: corruption that
-            # clobbers "HTTP" can leave a digit second token behind.
-            if (
-                len(parts) < 2
-                or not parts[0].startswith("HTTP/")
-                or not parts[1].isdigit()
-            ):
-                raise GarbledResponse(
-                    f"malformed status line {status_line!r}"
-                )
-            status = int(parts[1])
-            headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n"):
-                    break
-                if line == b"":
-                    # EOF where a header (or the blank line) belongs is
-                    # a dropped connection, never the end of headers —
-                    # treating it as such would hand back a body with no
-                    # framing at all.
-                    raise asyncio.IncompleteReadError(b"", None)
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            length = headers.get("content-length")
-            if length is not None and length.isdigit():
-                try:
-                    body = await reader.readexactly(int(length))
-                except asyncio.IncompleteReadError as exc:
-                    raise TruncatedBody(int(length), len(exc.partial)) from exc
-            else:
-                body = await reader.read()
-            return HttpResponse(
-                status=status,
-                headers=headers,
-                body=body,
-                latency_seconds=time.perf_counter() - started,
-                bytes_out=len(request),
+            response, _ = await _read_response(
+                reader, await reader.readline(), started, len(request)
             )
+            return response
         finally:
             writer.close()
             try:
@@ -417,14 +447,7 @@ class ConnectionPool:
         extra: Optional[Mapping[str, str]] = None,
     ) -> Tuple[HttpResponse, bool]:
         started = time.perf_counter()
-        request = (
-            f"GET {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            "User-Agent: repro-loadgen\r\n"
-            "Accept: application/json\r\n"
-            f"{_extra_header_lines(extra)}"
-            "\r\n"
-        ).encode("ascii")
+        request = _request_bytes(self.host, self.port, path, extra, close=False)
         try:
             conn.writer.write(request)
             await conn.writer.drain()
@@ -438,47 +461,7 @@ class ConnectionPool:
             if reused:
                 raise _StaleConnection()
             raise OSError("server closed connection before responding")
-        parts = status_line.decode("latin-1").split(" ", 2)
-        if (
-            len(parts) < 2
-            or not parts[0].startswith("HTTP/")
-            or not parts[1].isdigit()
-        ):
-            raise GarbledResponse(f"malformed status line {status_line!r}")
-        version = parts[0]
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await conn.reader.readline()
-            if line in (b"\r\n", b"\n"):
-                break
-            if line == b"":
-                raise asyncio.IncompleteReadError(b"", None)
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = headers.get("content-length")
-        if length is not None and length.isdigit():
-            try:
-                body = await conn.reader.readexactly(int(length))
-            except asyncio.IncompleteReadError as exc:
-                raise TruncatedBody(int(length), len(exc.partial)) from exc
-            framed = True
-        else:
-            body = await conn.reader.read()
-            framed = False
-        reuse_ok = (
-            framed
-            and version != "HTTP/1.0"
-            and headers.get("connection", "").lower() != "close"
-        )
-        response = HttpResponse(
-            status=status,
-            headers=headers,
-            body=body,
-            latency_seconds=time.perf_counter() - started,
-            bytes_out=len(request),
-        )
-        return response, reuse_ok
+        return await _read_response(conn.reader, status_line, started, len(request))
 
 
 class TokenBucket:

@@ -393,8 +393,7 @@ def _finish(
             trajectory, previous, tolerance=options.p99_tolerance
         ))
         compared = options.compare
-    with tracer._root_lock:
-        counters = dict(tracer.root.counters)
+    counters = tracer.root_counters()
     for name, value in driven.counters.items():
         counters[name] = counters.get(name, 0.0) + float(value)
     merged_extra: Dict[str, object] = {

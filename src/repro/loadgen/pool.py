@@ -124,8 +124,7 @@ def worker_main(spec: WorkerSpec) -> None:
                 shard_phase(phase, spec.worker_index, spec.worker_count)
             )
             spills.append(metrics.to_spill())
-        with tracer._root_lock:
-            counters = dict(tracer.root.counters)
+        counters = tracer.root_counters()
         payload: Dict[str, object] = {
             "worker_spill_schema_version": WORKER_SPILL_SCHEMA_VERSION,
             "worker": spec.worker_index,

@@ -202,8 +202,9 @@ class Tracer:
         """Increment a counter on the innermost open span."""
         self._stack[-1].add(name, n)
 
-    def count_root(self, name: str, n: float = 1.0) -> None:
-        """Thread-safe counter increment on the *root* span.
+    def count_root(self, *names: str) -> None:
+        """Thread-safe increment by one of each named counter on the
+        *root* span, under one lock acquisition.
 
         The span stack is single-threaded by design, but a long-lived
         multi-threaded consumer (``repro.serve`` handles each request on
@@ -212,7 +213,13 @@ class Tracer:
         stack entirely.
         """
         with self._root_lock:
-            self.root.add(name, n)
+            for name in names:
+                self.root.add(name)
+
+    def root_counters(self) -> Dict[str, float]:
+        """A consistent copy of the root span's counters."""
+        with self._root_lock:
+            return dict(self.root.counters)
 
     def finish(self) -> Span:
         """Close the root span (idempotent) and return it."""

@@ -2,9 +2,9 @@
 
 A *snapshot* is the canonical JSON document for one (provider, day)
 list — the unit the serving layer versions.  Its identity is the sha256
-of its canonical bytes (``json.dumps(..., sort_keys=True)``), which is
-exactly the checksum the artifact store records for the same payload,
-so store checksums double as strong ETags.
+of its canonical bytes (:func:`repro.store.canonical_bytes`, re-exported
+here), which is exactly the checksum the artifact store records for the
+same payload, so store checksums double as strong ETags.
 
 A *diff* compares two days' top-k prefixes the way the stability
 literature does: who entered, who fell out, and how the survivors moved.
@@ -12,24 +12,13 @@ literature does: who entered, who fell out, and how the survivors moved.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, List, Optional, Sequence
 
 from repro.providers.base import RankedList
+from repro.store.artifacts import canonical_bytes, snapshot_etag
 from repro.worldgen.world import World
 
 __all__ = ["canonical_bytes", "diff_ranked", "snapshot_doc", "snapshot_etag"]
-
-
-def canonical_bytes(doc: Dict) -> bytes:
-    """The canonical JSON encoding every digest and ETag is taken over."""
-    return json.dumps(doc, sort_keys=True).encode()
-
-
-def snapshot_etag(body: bytes) -> str:
-    """Strong HTTP ETag for a response body: quoted sha256 hex."""
-    return '"%s"' % hashlib.sha256(body).hexdigest()
 
 
 def snapshot_doc(

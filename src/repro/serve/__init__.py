@@ -2,8 +2,10 @@
 
 Layers, one module per concern:
 
-* :mod:`repro.serve.server` — the HTTP service itself (routes, deadlines,
-  warmup, golden verification, the response cache, metrics).
+* :mod:`repro.serve.server` — the HTTP service itself: the ``ROUTES``
+  table declaring each endpoint once (admitted or health bypass),
+  deadlines, warmup, golden verification, the response cache, and
+  ``/metricz`` from the tracer's root counters.
 * :mod:`repro.serve.shed` — bounded admission (load shedding).
 * :mod:`repro.serve.breaker` — circuit breaking around store reads, plus
   the last-known-good response cache.

@@ -28,15 +28,22 @@ serving workload demands:
 * ``GET /metricz`` — counters: requests, sheds, deadlines, breaker
   state, last-known-good cache, store stats.
 
+Every endpoint is one entry of :data:`ROUTES`: its ``by_route`` label,
+the path pattern it answers, its handler, and whether it is *admitted*.
+Beside the table sit one parameter parser, one deadline check, one
+response-cache path and one conditional-GET helper.
+
 Hardening, in one place per concern:
 
-* **deadlines** — every ``/v1`` request gets ``deadline_ms``; budget
-  spent queueing is budget unavailable for work, and a request that
-  would *start* expensive work past its deadline answers 504 instead.
-* **load shedding** — admission through a bounded
+* **deadlines** — every admitted route runs under ``deadline_ms``;
+  budget spent queueing is budget unavailable for work, and a request
+  that would *start* expensive work past its deadline answers 504
+  instead (built and counted in one place).
+* **load shedding** — admitted routes pass a bounded
   :class:`~repro.serve.shed.AdmissionGate`; beyond ``capacity`` +
   ``queue_depth`` the server answers 503 with ``Retry-After`` instead
-  of queueing without bound.  ``Retry-After`` is *derived*, not fixed:
+  of queueing without bound.  Only the health routes bypass the gate.
+  ``Retry-After`` is *derived*, not fixed:
   :func:`dynamic_retry_after` folds the current queue backlog and any
   open-breaker cooldown into an integer-seconds estimate of when a
   retry will actually find capacity.
@@ -53,9 +60,11 @@ Hardening, in one place per concern:
 * **conditional GET** — every 200 from the ``/v1`` read surfaces
   carries a strong ``ETag`` (sha256 of the canonical body; for stored
   experiment results this is the artifact store's recorded checksum,
-  served without hashing again), and ``If-None-Match`` answers 304 with
-  an empty body *without touching the store or recomputing the list* —
-  the response cache is consulted before any expensive work.
+  served without hashing again), and every such 200 passes the one
+  ``If-None-Match`` check: a match answers 304 with an empty body.  A
+  stored experiment or a cached list-shaped body revalidates *without
+  touching the store or recomputing the list* — the reference and the
+  response cache are consulted before any expensive work.
 * **one response cache** — each list-shaped body (slice, diff,
   stability) is rendered once per key and kept with its ETag in one
   bounded LRU (:data:`ETAG_CACHE_CAPACITY` entries), keyed by whether
@@ -72,9 +81,9 @@ Hardening, in one place per concern:
   ``Connection: close`` so clients retire them promptly.
 
 Observability: every request and lifecycle transition is one logfmt
-record in the :class:`~repro.serve.logfmt.AccessLog`, and service
-counters thread through the existing :class:`repro.obs.Tracer` via its
-thread-safe root-span counters (``/metricz`` exposes them).
+record in the :class:`~repro.serve.logfmt.AccessLog`, and every service
+event is counted once, in the :class:`repro.obs.Tracer`'s thread-safe
+root-span counters; ``/metricz`` is built from one snapshot of them.
 """
 
 from __future__ import annotations
@@ -82,6 +91,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import socket
 import threading
 import time
@@ -89,7 +99,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro import obs
@@ -98,18 +108,19 @@ from repro.core.pipeline import ExperimentContext, experiment_context
 from repro.faults import inject as faults
 from repro.faults.plan import DATA_SITES
 from repro.ranking.ingest import DegradedFeed, ProviderStream
-from repro.ranking.snapshots import (
-    canonical_bytes,
-    diff_ranked,
-    snapshot_doc,
-    snapshot_etag,
-)
+from repro.ranking.snapshots import diff_ranked, snapshot_doc
 from repro.ranking.stability import StabilityTracker
 from repro.serve.breaker import BreakerState, CircuitBreaker, LastKnownGood
 from repro.serve.drain import DrainController
 from repro.serve.logfmt import AccessLog
 from repro.serve.shed import AdmissionGate
-from repro.store.artifacts import SCHEMA_VERSION, ArtifactStore, config_key
+from repro.store.artifacts import (
+    SCHEMA_VERSION,
+    ArtifactStore,
+    canonical_bytes,
+    config_key,
+    snapshot_etag,
+)
 from repro.worldgen.config import WorldConfig
 
 __all__ = [
@@ -117,6 +128,8 @@ __all__ = [
     "MetricsService",
     "DEFAULT_PORT",
     "RETRY_AFTER_CAP",
+    "ROUTES",
+    "Route",
     "dynamic_retry_after",
 ]
 
@@ -133,9 +146,13 @@ RETRY_AFTER_CAP = 30
 #: about 84 KB, so the cache holds at most about 21 MiB.
 ETAG_CACHE_CAPACITY = 256
 
-#: Cache key of a list-shaped response: the route's parameters, then
-#: whether data chaos was armed.
+#: Cache key of a list-shaped response: the route's name and parameters,
+#: then whether data chaos was armed.
 _ResponseKey = Tuple[object, ...]
+
+#: A handler's answer: status, body, extra headers, and the access-log
+#: ``source`` naming which path produced it.
+_Answer = Tuple[int, bytes, Dict[str, str], str]
 
 
 def dynamic_retry_after(
@@ -212,6 +229,85 @@ class ServeSettings:
     connection_lifetime_seconds: float = 120.0
     max_header_count: int = 64
     max_header_bytes: int = 16384
+
+
+@dataclass(frozen=True)
+class Route:
+    """One endpoint, declared once (the DESIGN.md serving rule).
+
+    Attributes:
+        name: the route's label in ``/metricz`` ``requests.by_route``.
+        pattern: the URL path it answers, matched whole; named groups
+          are the handler's path parameters.
+        handler: the :class:`MetricsService` method answering it.
+        admitted: True when a request passes the admission gate (503 +
+          ``Retry-After`` past ``max_inflight`` + ``queue_depth``) and
+          runs under ``deadline_ms`` (504 + ``Retry-After`` once it is
+          spent); False for the health routes, which bypass both so
+          probes stay honest while the gate is saturated.
+    """
+
+    name: str
+    pattern: re.Pattern[str]
+    handler: str
+    admitted: bool = True
+
+
+#: Every endpoint.  First match wins: the list routes lead because they
+#: carry most requests, ``lists-diff`` and ``lists-stability`` precede
+#: ``lists``, and ``unknown`` matches any path.
+ROUTES: Tuple[Route, ...] = (
+    Route("lists-diff", re.compile(r"/v1/lists/(?P<provider>[^/]*)/diff"),
+          "_get_diff"),
+    Route("lists-stability",
+          re.compile(r"/v1/lists/(?P<provider>[^/]*)/stability"),
+          "_get_stability"),
+    Route("lists", re.compile(r"/v1/lists/(?P<provider>[^/]+)/(?P<day>[^/]+)"),
+          "_get_list"),
+    Route("lists-index", re.compile(r"/v1/lists/?"), "_get_lists_index"),
+    Route("experiment", re.compile(r"/v1/experiments/(?P<name>.*)", re.S),
+          "_get_experiment"),
+    Route("experiments", re.compile(r"/v1/experiments"), "_get_index"),
+    Route("healthz", re.compile(r"/healthz"), "_get_healthz", admitted=False),
+    Route("readyz", re.compile(r"/readyz"), "_get_readyz", admitted=False),
+    Route("metricz", re.compile(r"/metricz"), "_get_metricz", admitted=False),
+    Route("unknown", re.compile(r".*", re.S), "_get_unknown"),
+)
+
+
+def _match(path: str) -> Tuple[Route, Dict[str, str]]:
+    """The route answering ``path`` and its path parameters."""
+    for route in ROUTES:
+        found = route.pattern.fullmatch(path)
+        if found is not None:
+            return route, found.groupdict()
+    raise AssertionError("the unknown route matches every path")
+
+
+class _Reject(Exception):
+    """``(status, error token, detail)``: ends a request with an error
+    envelope before any work, for a bad parameter or an unknown name
+    (access-log source ``router``)."""
+
+
+class _DeadlineExceeded(Exception):
+    """The request's budget is spent; it answers 504."""
+
+
+class _Request(NamedTuple):
+    """What a handler reads of one request: the route's path parameters,
+    the query string, ``If-None-Match`` and the absolute deadline."""
+
+    params: Dict[str, str]
+    query: str
+    inm: Optional[str]
+    deadline: float
+
+    def check_deadline(self) -> None:
+        """The one deadline check: never start work once the budget is
+        spent."""
+        if time.perf_counter() >= self.deadline:
+            raise _DeadlineExceeded()
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
@@ -348,17 +444,6 @@ class MetricsService:
         self._not_golden: Dict[str, str] = {}  # name -> why warmup refused it
         self._read_status = threading.local()
         self._ready = False
-        self._counters_lock = threading.Lock()
-        self._by_status: Dict[int, int] = {}
-        self._by_route: Dict[str, int] = {}
-        self.requests_total = 0
-        self.deadline_timeouts = 0
-        self.repairs = 0
-        self.non_golden_blocked = 0
-        self.not_modified = 0
-        self.client_gone = 0
-        self.protocol_errors = 0
-        self.connections_reaped = 0
         # Live connection registry for the lifetime reaper: socket id ->
         # (socket, hard deadline).  Guarded by its own lock — reaping
         # must never contend with the request-path counters.
@@ -456,8 +541,7 @@ class MetricsService:
         if reference is not None and snapshot_etag(body) != reference:
             # Never serve a body that drifted from the golden-verified
             # reference — answer from last-known-good instead.
-            with self._counters_lock:
-                self.non_golden_blocked += 1
+            self.tracer.count_root("serve.non_golden_blocked")
             return None, "drift"
         return body, None
 
@@ -466,8 +550,6 @@ class MetricsService:
         (self-healing: a quarantined, lost or invalid blob becomes a hit
         again, and its header checksum is the reference)."""
         self.store.put_json_bytes(self._cfg_key, f"results/{name}", body)
-        with self._counters_lock:
-            self.repairs += 1
         self.tracer.count_root("serve.repairs")
         self.log.write("store.repair", name=name, bytes=len(body))
 
@@ -596,10 +678,6 @@ class MetricsService:
                 )
                 self._data_streams[provider] = stream
             return stream.resolve(day)
-
-    def _data_health(self, provider: str, day: int) -> Optional[Dict]:
-        resolved = self._data_resolve(provider, day)
-        return None if resolved is None else resolved[1]
 
     def _ranked(self, provider: str, day: int):
         resolved = self._data_resolve(provider, day)
@@ -758,8 +836,6 @@ class MetricsService:
                 for conn_id, _sock in overdue:
                     self._connections.pop(conn_id, None)
             for _conn_id, sock in overdue:
-                with self._counters_lock:
-                    self.connections_reaped += 1
                 self.tracer.count_root("serve.connections_reaped")
                 self.log.write(
                     "connection.reaped",
@@ -778,10 +854,7 @@ class MetricsService:
 
     def count_protocol_error(self, path: str, status: int) -> None:
         """Accounting for parse-level rejects answered by ``send_error``."""
-        with self._counters_lock:
-            self.protocol_errors += 1
-            self._by_status[status] = self._by_status.get(status, 0) + 1
-        self.tracer.count_root("serve.protocol_errors")
+        self.tracer.count_root("serve.protocol_errors", f"serve.by_status.{status}")
         self.log.write("request.protocol_error", path=path, status=status)
 
     def _header_limit_violation(
@@ -817,29 +890,39 @@ class MetricsService:
     def handle(self, handler: _RequestHandler, head_only: bool = False) -> None:
         """Entry point for every HTTP request (called on its thread)."""
         started = time.perf_counter()
-        path = urlsplit(handler.path).path
-        route = self._route_of(path)
-        inm = handler.headers.get("If-None-Match")
+        target = urlsplit(handler.path)
+        path = target.path
+        route, params = _match(path)
+        budget = self.settings.deadline_ms / 1000.0
+        request = _Request(params, target.query,
+                           handler.headers.get("If-None-Match"), started + budget)
+        shed: Optional[str] = None
+        admitted = False
         try:
             violation = self._header_limit_violation(handler)
             if violation is not None:
                 status, token, detail = violation
                 handler.close_connection = True
                 self.tracer.count_root("serve.header_limited")
-                self._respond(
-                    handler, status, _error_body(token, detail),
-                    {"Connection": "close"}, head_only,
-                )
-                self._account(handler, path, route, status, started, "limit")
-                return
-            if route in ("healthz", "readyz", "metricz"):
-                # Health surfaces bypass admission: they must answer
-                # cheaply even (especially) when the service is saturated.
-                status, body, headers = self._handle_control(route)
-                self._respond(handler, status, body, headers, head_only)
-                self._account(handler, path, route, status, started, "control")
-                return
-            self._handle_v1(handler, path, route, started, head_only, inm)
+                answer = (status, _error_body(token, detail),
+                          {"Connection": "close"}, "limit")
+            elif not route.admitted:
+                answer = getattr(self, route.handler)(request)
+            else:
+                # A request may spend at most half its budget queueing;
+                # the rest is reserved for doing the work.
+                shed = self.gate.try_acquire(timeout=budget / 2.0)
+                admitted = shed is None
+                if admitted:
+                    answer = self._dispatch(route, request, path)
+                else:
+                    self.tracer.count_root("serve.shed")
+                    body, headers = self._retry_error(
+                        "shed", "admission rejected: " + shed)
+                    answer = (503, body, headers, "shed")
+            status, body, headers, source = answer
+            self._respond(handler, status, body, headers, head_only)
+            self._account(handler, path, route.name, status, started, source, shed)
         except (KeyboardInterrupt, SystemExit):
             raise
         except (BrokenPipeError, ConnectionResetError):
@@ -847,8 +930,6 @@ class MetricsService:
             # never a server failure — the circuit breaker only ever
             # sees store reads, and a flood of disappearing clients must
             # not masquerade as service errors.
-            with self._counters_lock:
-                self.client_gone += 1
             self.tracer.count_root("serve.client_gone")
             self.log.write("request.client_gone", path=path)
         except Exception as error:  # one request never kills the server
@@ -861,128 +942,93 @@ class MetricsService:
                     handler, 500, _error_body("internal", "internal error"),
                     {}, head_only,
                 )
-                self._account(handler, path, route, 500, started, "error")
+                self._account(handler, path, route.name, 500, started, "error")
             except OSError:
                 pass
-
-    def _route_of(self, path: str) -> str:
-        if path in ("/healthz", "/readyz", "/metricz"):
-            return path.strip("/")
-        if path == "/v1/experiments":
-            return "experiments"
-        if path.startswith("/v1/experiments/"):
-            return "experiment"
-        if path in ("/v1/lists", "/v1/lists/"):
-            return "lists-index"
-        if path.startswith("/v1/lists/"):
-            parts = path[len("/v1/lists/"):].split("/")
-            if len(parts) == 2 and parts[1] == "diff":
-                return "lists-diff"
-            if len(parts) == 2 and parts[1] == "stability":
-                return "lists-stability"
-            return "lists"
-        return "unknown"
-
-    def _handle_control(self, route: str) -> Tuple[int, bytes, Dict[str, str]]:
-        if route == "healthz":
-            return 200, canonical_bytes({"status": "alive"}), {}
-        if route == "readyz":
-            # Not-ready is an error the canonical envelope covers like any
-            # other 5xx; the "error" token tells load balancers why.
-            if self._draining:
-                body, headers = self._retry_error("not_ready", "draining")
-                return 503, body, headers
-            if not self._ready:
-                body, headers = self._retry_error("not_ready", "warming")
-                return 503, body, headers
-            return 200, canonical_bytes({"status": "ready"}), {}
-        return 200, canonical_bytes(self.metrics()), {}
-
-    def _handle_v1(
-        self,
-        handler: _RequestHandler,
-        path: str,
-        route: str,
-        started: float,
-        head_only: bool,
-        inm: Optional[str] = None,
-    ) -> None:
-        budget = self.settings.deadline_ms / 1000.0
-        deadline = started + budget
-        # A request may spend at most half its budget queueing; the rest
-        # is reserved for doing the work.
-        shed = self.gate.try_acquire(timeout=budget / 2.0)
-        if shed is not None:
-            self.tracer.count_root("serve.shed")
-            body, headers = self._retry_error("shed", "admission rejected: " + shed)
-            self._respond(handler, 503, body, headers, head_only)
-            self._account(handler, path, route, 503, started, "shed", shed=shed)
-            return
-        try:
-            rule = faults.fire("serve.request.error", path)
-            if rule is not None:
-                self.tracer.count_root("serve.injected_errors")
-                self._respond(
-                    handler, 500,
-                    _error_body("injected", "injected serve.request.error"),
-                    {}, head_only,
-                )
-                self._account(handler, path, route, 500, started, "injected")
-                return
-            if time.perf_counter() >= deadline:
-                self._deadline_response(handler, path, route, started, head_only)
-                return
-            if route == "experiments":
-                status, body, headers, source = self._get_index(inm)
-            elif route == "experiment":
-                name = path[len("/v1/experiments/"):]
-                status, body, headers, source = self._get_experiment(
-                    name, deadline, inm
-                )
-            elif route == "lists-index":
-                status, body, headers, source = self._get_lists_index(deadline)
-            elif route == "lists":
-                status, body, headers, source = self._get_list(
-                    handler.path, path, deadline, inm
-                )
-            elif route == "lists-diff":
-                status, body, headers, source = self._get_diff(
-                    handler.path, path, deadline, inm
-                )
-            elif route == "lists-stability":
-                status, body, headers, source = self._get_stability(
-                    handler.path, path, deadline, inm
-                )
-            else:
-                status, body, headers, source = (
-                    404, _error_body("not_found", "no such route"), {}, "router"
-                )
-            self._respond(handler, status, body, headers, head_only)
-            self._account(handler, path, route, status, started, source)
         finally:
-            self.gate.release()
+            if admitted:
+                self.gate.release()
 
-    def _deadline_response(
-        self, handler: _RequestHandler, path: str, route: str,
-        started: float, head_only: bool,
-    ) -> None:
-        with self._counters_lock:
-            self.deadline_timeouts += 1
-        self.tracer.count_root("serve.deadline_timeouts")
-        body, headers = self._retry_error("deadline", "deadline exceeded")
-        self._respond(handler, 504, body, headers, head_only)
-        self._account(handler, path, route, 504, started, "deadline")
+    def _dispatch(self, route: Route, request: _Request, path: str) -> _Answer:
+        """An admitted request: the injected-error site, the deadline,
+        then the route's handler.  A rejected parameter answers its
+        envelope; a spent budget answers the one deadline 504, counted
+        here and nowhere else."""
+        if faults.fire("serve.request.error", path) is not None:
+            self.tracer.count_root("serve.injected_errors")
+            return 500, _error_body(
+                "injected", "injected serve.request.error"), {}, "injected"
+        try:
+            request.check_deadline()
+            return getattr(self, route.handler)(request)
+        except _Reject as reject:
+            status, token, detail = reject.args
+            return status, _error_body(token, detail), {}, "router"
+        except _DeadlineExceeded:
+            self.tracer.count_root("serve.deadline_timeouts")
+            body, headers = self._retry_error("deadline", "deadline exceeded")
+            return 504, body, headers, "deadline"
+
+    def _parse(self, request: _Request, *days: str) -> Tuple[List[int], int]:
+        """The one parameter parser: the named days, then ``k``.
+
+        Checked in the order every list-shaped route answers them: a day
+        missing from the query string is 400, a day that is not an
+        integer inside the simulated window is 404, then ``k`` (default
+        ``default_k``) that is not an integer >= 1 is 400; ``k`` clamps
+        to ``max_k``.  A day the route's path names comes from the path.
+        """
+        query = parse_qs(request.query)
+        texts = [request.params.get(name) or query.get(name, [None])[0]
+                 for name in days]
+        if None in texts:
+            raise _Reject(400, "bad_request", "needs query parameters "
+                          + " and ".join(f"{name}=<day>" for name in days))
+        values = []
+        for text in texts:
+            try:
+                day = int(text)
+            except ValueError:
+                raise _Reject(404, "not_found",
+                              f"day must be an integer, got {text!r}") from None
+            if not 0 <= day < self.config.n_days:
+                raise _Reject(
+                    404, "not_found",
+                    f"day {day} outside simulated window [0, {self.config.n_days})",
+                )
+            values.append(day)
+        try:
+            k = int(query.get("k", [self.settings.default_k])[0])
+        except ValueError:
+            raise _Reject(400, "bad_request", "k must be an integer") from None
+        if k < 1:
+            raise _Reject(400, "bad_request", "k must be >= 1")
+        return values, min(k, self.settings.max_k)
 
     # ------------------------------------------------------------------
-    # Endpoint bodies.
+    # Endpoint bodies, one handler per route.
 
-    def _get_index(
-        self, inm: Optional[str] = None
-    ) -> Tuple[int, bytes, Dict[str, str], str]:
+    def _get_healthz(self, request: _Request) -> _Answer:
+        return 200, canonical_bytes({"status": "alive"}), {}, "control"
+
+    def _get_readyz(self, request: _Request) -> _Answer:
+        # Not-ready is an error the canonical envelope covers like any
+        # other 5xx; the "error" token tells load balancers why.
+        if self._draining or not self._ready:
+            body, headers = self._retry_error(
+                "not_ready", "draining" if self._draining else "warming")
+            return 503, body, headers, "control"
+        return 200, canonical_bytes({"status": "ready"}), {}, "control"
+
+    def _get_metricz(self, request: _Request) -> _Answer:
+        return 200, canonical_bytes(self.metrics()), {}, "control"
+
+    def _get_unknown(self, request: _Request) -> _Answer:
+        raise _Reject(404, "not_found", "no such route")
+
+    def _get_index(self, request: _Request) -> _Answer:
         body, etag = self._index
-        if _etag_matches(inm, etag):
-            return self._not_modified(etag, "index")
-        return 200, body, {"ETag": etag}, "index"
+        return self._ok(request, etag, body, "index")
 
     def _render_index(self) -> Tuple[bytes, str]:
         """The experiments index body and its ETag: a function of the
@@ -1004,13 +1050,10 @@ class MetricsService:
         body = canonical_bytes({"experiments": rows, "config_key": self._cfg_key})
         return body, snapshot_etag(body)
 
-    def _get_experiment(
-        self, name: str, deadline: float, inm: Optional[str] = None
-    ) -> Tuple[int, bytes, Dict[str, str], str]:
+    def _get_experiment(self, request: _Request) -> _Answer:
+        name = request.params["name"]
         if name not in self.names or name not in SPECS:
-            return 404, _error_body(
-                "not_found", f"unknown experiment {name!r}"
-            ), {}, "router"
+            raise _Reject(404, "not_found", f"unknown experiment {name!r}")
         if name in self._not_golden:
             body, headers = self._retry_error(
                 "not_golden",
@@ -1019,69 +1062,77 @@ class MetricsService:
             )
             return 503, body, headers, "not-golden"
         reference = self._reference.get(name)
-        if reference is not None:
+        if reference is not None and _etag_matches(request.inm, reference):
             # The warmup-pinned reference is the body's strong ETag (the
             # quoted artifact-store checksum for results/<name> —
             # canonical payloads hash identically), so a conditional hit
             # answers before the breaker, the store, or any read budget
             # is touched: zero store reads.
-            if _etag_matches(inm, reference):
-                return self._not_modified(reference, "experiment")
+            return self._not_modified(reference, "experiment")
         if not self.breaker.allow():
             body = self.lkg.get(name)
             if body is not None:
-                return self._experiment_body(name, body, "last-known-good", "lkg-open")
+                return self._experiment_body(
+                    request, name, body, "last-known-good", "lkg-open")
             body, headers = self._retry_error("unavailable", "store circuit open")
             return 503, body, headers, "breaker-open"
-        if time.perf_counter() >= deadline:
-            # Don't start a store read we have no budget left to use; the
-            # breaker probe slot (if any) is returned via record_success.
+        try:
+            request.check_deadline()
+        except _DeadlineExceeded:
+            # Don't start a store read we have no budget left to use;
+            # return the breaker's probe slot (if any) first.
             self.breaker.record_success()
-            body, headers = self._retry_error("deadline", "deadline exceeded")
-            return 504, body, headers, "deadline"
+            raise
         body, failure = self._read_fresh(name)
         if failure is None:
+            self.breaker.record_success()
             if body is None:
-                self.breaker.record_success()
                 return 404, _error_body(
                     "not_found",
                     f"no cached result for {name!r}; run `repro all` first",
                 ), {}, "miss"
-            self.breaker.record_success()
             self.lkg.put(name, body)
-            return self._experiment_body(name, body, "store", "store")
+            return self._experiment_body(request, name, body, "store", "store")
         self.breaker.record_failure(failure)
         self.tracer.count_root(f"serve.read_failures.{failure}")
         if failure == "slow" and body is not None:
             # Slow but valid: serve it (it passed the digest check) while
             # the breaker accounts for the latency.
             self.lkg.put(name, body)
-            return self._experiment_body(name, body, "store-slow", "store-slow")
+            return self._experiment_body(
+                request, name, body, "store-slow", "store-slow")
         fallback = self.lkg.get(name)
         if fallback is not None:
             if failure in ("corrupt", "lost", "invalid"):
                 self._repair(name, fallback)
-            return self._experiment_body(name, fallback, "last-known-good", "lkg")
+            return self._experiment_body(
+                request, name, fallback, "last-known-good", "lkg")
         body, headers = self._retry_error(
             "unavailable",
             f"store read failed ({failure}) and no last-known-good copy",
         )
         return 503, body, headers, "unavailable"
 
-    def _get_lists_index(
-        self, deadline: float
-    ) -> Tuple[int, bytes, Dict[str, str], str]:
+    def _experiment_body(
+        self, request: _Request, name: str, body: bytes, served_from: str,
+        source: str,
+    ) -> _Answer:
+        """A verified experiment body.  Its ETag is the warmup-pinned
+        reference, which every body served under one equals byte for
+        byte (a stored payload by its checksum, a decoded one by its
+        hash, a last-known-good copy by construction); only a result
+        that had no reference at warmup is hashed here."""
+        etag = self._reference.get(name) or snapshot_etag(body)
+        return self._ok(request, etag, body, source, {"X-Repro-Source": served_from})
+
+    def _get_lists_index(self, request: _Request) -> _Answer:
         """``GET /v1/lists`` — discoverable targets for list clients.
 
-        Serving behavior (per the DESIGN.md serving rule): deadline-
-        budgeted and admission-gated like every ``/v1`` endpoint; the
-        body is computed from the warm context, so after warmup it is a
-        cheap, constant-shape read.
+        The body is computed from the warm context, so after warmup it
+        is a cheap, constant-shape read.
         """
         ctx = self._context()
-        if time.perf_counter() >= deadline:
-            body, headers = self._retry_error("deadline", "deadline exceeded")
-            return 504, body, headers, "deadline"
+        request.check_deadline()
         providers = [
             {
                 "id": name,
@@ -1098,67 +1149,17 @@ class MetricsService:
             "config_key": self._cfg_key,
             "data_chaos": self._data_chaos_armed(),
         })
-        return 200, body, {"ETag": snapshot_etag(body)}, "lists-index"
+        return self._ok(request, snapshot_etag(body), body, "lists-index")
 
-    def _parse_k(self, raw_path: str) -> Tuple[Optional[int], Optional[bytes]]:
-        """The validated, clamped ``?k=`` value, or an error body."""
-        query = parse_qs(urlsplit(raw_path).query)
-        try:
-            k = int(query.get("k", [self.settings.default_k])[0])
-        except ValueError:
-            return None, _error_body("bad_request", "k must be an integer")
-        if k < 1:
-            return None, _error_body("bad_request", "k must be >= 1")
-        return min(k, self.settings.max_k), None
+    def _get_list(self, request: _Request) -> _Answer:
+        """``GET /v1/lists/<provider>/<day>?k=`` — a top-``k`` slice of
+        one day's snapshot, reporting the snapshot's version."""
+        (day,), k = self._parse(request, "day")
+        return self._list_shaped(request, "lists", self._list_doc,
+                                 request.params["provider"], day, k)
 
-    def _valid_day(self, day_text: str) -> Tuple[Optional[int], Optional[bytes]]:
-        """A day index inside the simulated window, or an error body."""
-        try:
-            day = int(day_text)
-        except ValueError:
-            return None, _error_body(
-                "not_found", f"day must be an integer, got {day_text!r}"
-            )
-        if not 0 <= day < self.config.n_days:
-            return None, _error_body(
-                "not_found",
-                f"day {day} outside simulated window [0, {self.config.n_days})",
-            )
-        return day, None
-
-    def _get_list(
-        self, raw_path: str, path: str, deadline: float, inm: Optional[str] = None
-    ) -> Tuple[int, bytes, Dict[str, str], str]:
-        parts = path[len("/v1/lists/"):].split("/")
-        if len(parts) != 2 or not parts[0]:
-            return 404, _error_body(
-                "not_found", "use /v1/lists/<provider>/<day>"
-            ), {}, "router"
-        provider, day_text = parts
-        day, error = self._valid_day(day_text)
-        if error is not None:
-            return 404, error, {}, "router"
-        k, error = self._parse_k(raw_path)
-        if error is not None:
-            return 400, error, {}, "router"
-        # A cached response means this exact representation was served
-        # before, and list bodies are pure functions of the config and of
-        # the memoized data-health resolution: a repeat answers (304 or
-        # 200) without touching the providers or the store.
-        cache_key = ("lists", provider, day, k, self._data_chaos_armed())
-        cached = self._replay(cache_key, inm, "lists")
-        if cached is not None:
-            return cached
-        ctx = self._context()
-        if provider not in ctx.providers:
-            return 404, _error_body(
-                "not_found",
-                f"unknown provider {provider!r}; choose from "
-                + ", ".join(ctx.providers),
-            ), {}, "router"
-        if time.perf_counter() >= deadline:
-            body, headers = self._retry_error("deadline", "deadline exceeded")
-            return 504, body, headers, "deadline"
+    def _list_doc(self, request: _Request, ctx: ExperimentContext,
+                  provider: str, day: int, k: int) -> Dict:
         resolved = self._data_resolve(provider, day)
         if resolved is not None:
             ranked, data_health = resolved
@@ -1186,94 +1187,42 @@ class MetricsService:
             # clean serving of the same list: the marking is part of the
             # representation, not response decoration.
             doc["data_health"] = data_health
-        return self._render(cache_key, doc, "lists")
+        return doc
 
-    def _get_diff(
-        self, raw_path: str, path: str, deadline: float, inm: Optional[str] = None
-    ) -> Tuple[int, bytes, Dict[str, str], str]:
+    def _get_diff(self, request: _Request) -> _Answer:
         """``GET /v1/lists/<provider>/diff?from=&to=&k=`` — rank deltas
         between two days' top-``k`` prefixes: entrants, dropouts, moved
-        (with signed delta), unchanged count.
+        (with signed delta), unchanged count."""
+        (from_day, to_day), k = self._parse(request, "from", "to")
+        return self._list_shaped(request, "lists-diff", self._diff_doc,
+                                 request.params["provider"], from_day, to_day, k)
 
-        Serving behavior (DESIGN.md serving rule): admission-gated and
-        deadline-budgeted; both days' lists come from the providers'
-        memoized builds, and a repeat answers from the response cache.
-        """
-        provider = path[len("/v1/lists/"):].split("/")[0]
-        query = parse_qs(urlsplit(raw_path).query)
-        try:
-            from_day_text = query["from"][0]
-            to_day_text = query["to"][0]
-        except (KeyError, IndexError):
-            return 400, _error_body(
-                "bad_request", "diff needs from=<day> and to=<day> query parameters"
-            ), {}, "router"
-        from_day, error = self._valid_day(from_day_text)
-        if error is not None:
-            return 404, error, {}, "router"
-        to_day, error = self._valid_day(to_day_text)
-        if error is not None:
-            return 404, error, {}, "router"
-        k, error = self._parse_k(raw_path)
-        if error is not None:
-            return 400, error, {}, "router"
-        cache_key = ("diff", provider, from_day, to_day, k, self._data_chaos_armed())
-        cached = self._replay(cache_key, inm, "lists-diff")
-        if cached is not None:
-            return cached
-        ctx = self._context()
-        if provider not in ctx.providers:
-            return 404, _error_body(
-                "not_found",
-                f"unknown provider {provider!r}; choose from "
-                + ", ".join(ctx.providers),
-            ), {}, "router"
-        if time.perf_counter() >= deadline:
-            body, headers = self._retry_error("deadline", "deadline exceeded")
-            return 504, body, headers, "deadline"
+    def _diff_doc(self, request: _Request, ctx: ExperimentContext,
+                  provider: str, from_day: int, to_day: int, k: int) -> Dict:
         from_names = self._ranked(provider, from_day).head(k).strings(ctx.world)
-        if time.perf_counter() >= deadline:
-            body, headers = self._retry_error("deadline", "deadline exceeded")
-            return 504, body, headers, "deadline"
+        request.check_deadline()
         to_names = self._ranked(provider, to_day).head(k).strings(ctx.world)
         doc = {"provider": provider, "from": from_day, "to": to_day, "k": k}
         doc.update(diff_ranked(from_names, to_names))
-        return self._render(cache_key, doc, "lists-diff")
+        return doc
 
-    def _get_stability(
-        self, raw_path: str, path: str, deadline: float, inm: Optional[str] = None
-    ) -> Tuple[int, bytes, Dict[str, str], str]:
+    def _get_stability(self, request: _Request) -> _Answer:
         """``GET /v1/lists/<provider>/stability?k=`` — the incremental
         stability surfaces (daily churn, intersection decay, weekday
-        periodicity) over the provider's full simulated day range.
+        periodicity) over the provider's full simulated day range."""
+        _, k = self._parse(request)
+        return self._list_shaped(request, "lists-stability", self._stability_doc,
+                                 request.params["provider"], k)
 
-        Serving behavior (DESIGN.md serving rule): the first request per
-        (provider, k) walks every day's list with the deadline re-checked
-        between days (504 rather than a blown budget); the finished body
-        goes into the response cache, so later requests — and 304s — are
-        O(1).
-        """
-        provider = path[len("/v1/lists/"):].split("/")[0]
-        k, error = self._parse_k(raw_path)
-        if error is not None:
-            return 400, error, {}, "router"
-        cache_key = ("stability", provider, k, self._data_chaos_armed())
-        cached = self._replay(cache_key, inm, "lists-stability")
-        if cached is not None:
-            return cached
-        ctx = self._context()
-        if provider not in ctx.providers:
-            return 404, _error_body(
-                "not_found",
-                f"unknown provider {provider!r}; choose from "
-                + ", ".join(ctx.providers),
-            ), {}, "router"
+    def _stability_doc(self, request: _Request, ctx: ExperimentContext,
+                       provider: str, k: int) -> Dict:
+        # The first request per (provider, k) walks every day's list with
+        # the deadline re-checked between days (504 rather than a blown
+        # budget); later requests, and 304s, answer from the cache.
         tracker = StabilityTracker(k)
         degraded_statuses: Dict[str, int] = {}
         for day in range(self.config.n_days):
-            if time.perf_counter() >= deadline:
-                body, headers = self._retry_error("deadline", "deadline exceeded")
-                return 504, body, headers, "deadline"
+            request.check_deadline()
             resolved = self._data_resolve(provider, day)
             if resolved is not None:
                 ranked, health = resolved
@@ -1297,10 +1246,55 @@ class MetricsService:
                 "degraded_days": len(doc.get("degraded_days", [])),
                 "by_status": dict(sorted(degraded_statuses.items())),
             }
-        return self._render(cache_key, doc, "lists-stability")
+        return doc
 
     # ------------------------------------------------------------------
-    # Conditional-GET plumbing.
+    # The response cache and conditional GET.
+
+    def _list_shaped(
+        self,
+        request: _Request,
+        source: str,
+        build: Callable[..., Dict],
+        provider: str,
+        *params: int,
+    ) -> _Answer:
+        """The one response-cache path of the list-shaped routes.
+
+        List bodies are pure functions of the config and of the memoized
+        data-health resolution, so a repeat of (route, provider,
+        parameters, data chaos armed) answers from the cache without
+        touching the providers or the store.  A first touch checks the
+        provider (404) and the deadline (504), then builds the document
+        and serializes it once.
+        """
+        key = (source, provider, *params, self._data_chaos_armed())
+        with self._etag_lock:
+            cached = self._responses.get(key)
+            if cached is not None:
+                self._responses.move_to_end(key)
+        if cached is not None:
+            etag, body = cached
+            answer = self._ok(request, etag, body, source)
+            if answer[0] == 200:
+                self.tracer.count_root("serve.bodies_replayed")
+            return answer
+        ctx = self._context()
+        if provider not in ctx.providers:
+            raise _Reject(
+                404, "not_found",
+                f"unknown provider {provider!r}; choose from "
+                + ", ".join(ctx.providers),
+            )
+        request.check_deadline()
+        body = canonical_bytes(build(request, ctx, provider, *params))
+        etag = snapshot_etag(body)
+        with self._etag_lock:
+            self._responses[key] = (etag, body)
+            self._responses.move_to_end(key)
+            while len(self._responses) > ETAG_CACHE_CAPACITY:
+                self._responses.popitem(last=False)
+        return self._ok(request, etag, body, source)
 
     def _list_version(self, provider: str, day: int, ranked: object,
                       data_health: Optional[Dict] = None) -> str:
@@ -1329,90 +1323,75 @@ class MetricsService:
             self._list_versions[key] = version
         return version
 
-    def _replay(
-        self, cache_key: _ResponseKey, inm: Optional[str], source: str
-    ) -> Optional[Tuple[int, bytes, Dict[str, str], str]]:
-        """Answer from the response cache — a 304 when ``If-None-Match``
-        matches the cached ETag, else the cached 200 — or None on a miss."""
-        with self._etag_lock:
-            cached = self._responses.get(cache_key)
-            if cached is None:
-                return None
-            self._responses.move_to_end(cache_key)
-        etag, body = cached
-        if _etag_matches(inm, etag):
+    def _ok(
+        self,
+        request: _Request,
+        etag: str,
+        body: bytes,
+        source: str,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> _Answer:
+        """The one conditional-GET helper every ETag-bearing 200 passes:
+        an ``If-None-Match`` naming ``etag`` answers 304, anything else
+        the 200 with its ETag."""
+        if _etag_matches(request.inm, etag):
             return self._not_modified(etag, source)
-        self.tracer.count_root("serve.bodies_replayed")
-        return 200, body, {"ETag": etag}, source
+        return 200, body, {**(headers or {}), "ETag": etag}, source
 
-    def _render(
-        self, cache_key: _ResponseKey, doc: Dict, source: str
-    ) -> Tuple[int, bytes, Dict[str, str], str]:
-        """Serialize a list-shaped document once, keep it in the response
-        cache, and answer it as a 200."""
-        body = canonical_bytes(doc)
-        etag = snapshot_etag(body)
-        with self._etag_lock:
-            self._responses[cache_key] = (etag, body)
-            self._responses.move_to_end(cache_key)
-            while len(self._responses) > ETAG_CACHE_CAPACITY:
-                self._responses.popitem(last=False)
-        return 200, body, {"ETag": etag}, source
-
-    def _not_modified(
-        self, etag: str, source: str
-    ) -> Tuple[int, bytes, Dict[str, str], str]:
+    def _not_modified(self, etag: str, source: str) -> _Answer:
         """A 304: empty body, the current ETag restated, one counter."""
-        with self._counters_lock:
-            self.not_modified += 1
         self.tracer.count_root("serve.not_modified")
         return 304, b"", {"ETag": etag}, f"{source}-304"
-
-    def _experiment_body(
-        self, name: str, body: bytes, served_from: str, source: str
-    ) -> Tuple[int, bytes, Dict[str, str], str]:
-        """A 200 for a verified experiment body.  Its ETag is the
-        warmup-pinned reference, which every body served under one equals
-        byte for byte (a stored payload by its checksum, a decoded one by
-        its hash, a last-known-good copy by construction); only a result
-        that had no reference at warmup is hashed here."""
-        etag = self._reference.get(name) or snapshot_etag(body)
-        return 200, body, {"X-Repro-Source": served_from, "ETag": etag}, source
 
     # ------------------------------------------------------------------
     # Metrics.
 
+    @property
+    def requests_total(self) -> int:
+        """Requests answered (protocol-level rejects not included)."""
+        return int(self.tracer.root_counters().get("serve.requests", 0))
+
+    @property
+    def repairs(self) -> int:
+        """Last-known-good bodies written back to the store."""
+        return int(self.tracer.root_counters().get("serve.repairs", 0))
+
+    @property
+    def non_golden_blocked(self) -> int:
+        """Stored bodies refused for drifting from their reference."""
+        return int(self.tracer.root_counters().get("serve.non_golden_blocked", 0))
+
     def metrics(self) -> Dict[str, object]:
-        """The ``/metricz`` document."""
-        with self._counters_lock:
-            by_status = {str(code): count for code, count in sorted(self._by_status.items())}
-            by_route = dict(sorted(self._by_route.items()))
-            requests_total = self.requests_total
-            deadline_timeouts = self.deadline_timeouts
-            repairs = self.repairs
-            non_golden_blocked = self.non_golden_blocked
-            not_modified = self.not_modified
-            client_gone = self.client_gone
-            protocol_errors = self.protocol_errors
-            connections_reaped = self.connections_reaped
+        """The ``/metricz`` document, every count from one snapshot of
+        the tracer's root counters."""
+        counters = self.tracer.root_counters()
+
+        def count(name: str) -> int:
+            return int(counters.get(name, 0))
+
+        def breakdown(prefix: str) -> Dict[str, int]:
+            return {
+                name[len(prefix):]: int(value)
+                for name, value in sorted(counters.items())
+                if name.startswith(prefix)
+            }
+
         stats = self.store.stats
-        with self.tracer._root_lock:
-            counters = dict(self.tracer.root.counters)
         return {
             "uptime_seconds": round(time.time() - self._started_at, 3),
             "ready": self._ready,
             "draining": self._draining,
             "config_key": self._cfg_key,
             "requests": {
-                "total": requests_total,
-                "by_status": by_status,
-                "by_route": by_route,
-                "client_gone": client_gone,
-                "protocol_errors": protocol_errors,
+                "total": count("serve.requests"),
+                "by_status": breakdown("serve.by_status."),
+                "by_route": breakdown("serve.by_route."),
+                "client_gone": count("serve.client_gone"),
+                "protocol_errors": count("serve.protocol_errors"),
             },
             "connections": {
                 "active": self.active_connections,
-                "reaped": connections_reaped,
+                "reaped": count("serve.connections_reaped"),
                 "idle_timeout_seconds": self.settings.idle_timeout_seconds,
                 "lifetime_seconds": self.settings.connection_lifetime_seconds,
                 "max_header_count": self.settings.max_header_count,
@@ -1428,7 +1407,7 @@ class MetricsService:
             },
             "deadline": {
                 "deadline_ms": self.settings.deadline_ms,
-                "timeouts": deadline_timeouts,
+                "timeouts": count("serve.deadline_timeouts"),
             },
             "retry_after": {
                 "floor_seconds": self.settings.retry_after_seconds,
@@ -1436,7 +1415,7 @@ class MetricsService:
                 "cap_seconds": RETRY_AFTER_CAP,
             },
             "conditional": {
-                "not_modified_total": not_modified,
+                "not_modified_total": count("serve.not_modified"),
                 "etags_cached": len(self._responses),
                 "snapshot_versions": len(self._list_versions),
             },
@@ -1445,8 +1424,8 @@ class MetricsService:
                 "size": len(self.lkg),
                 "capacity": self.lkg.capacity,
                 "serves": self.lkg.serves,
-                "repairs": repairs,
-                "non_golden_blocked": non_golden_blocked,
+                "repairs": count("serve.repairs"),
+                "non_golden_blocked": count("serve.non_golden_blocked"),
             },
             "store": {
                 "snapshot": stats.snapshot(),
@@ -1495,9 +1474,6 @@ class MetricsService:
             self.breaker.cooldown_remaining(),
         )
 
-    def _retry_headers(self) -> Dict[str, str]:
-        return {"Retry-After": str(self._retry_after_seconds())}
-
     def _retry_error(self, error: str, detail: str) -> Tuple[bytes, Dict[str, str]]:
         """An envelope body + headers pair for retryable errors: the
         ``Retry-After`` header and the body's ``retry_after`` key carry
@@ -1537,12 +1513,12 @@ class MetricsService:
         shed: Optional[str] = None,
     ) -> None:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        with self._counters_lock:
-            self.requests_total += 1
-            self._by_status[status] = self._by_status.get(status, 0) + 1
-            self._by_route[route] = self._by_route.get(route, 0) + 1
-        self.tracer.count_root("serve.requests")
-        self.tracer.count_root(f"serve.status.{status // 100}xx")
+        self.tracer.count_root(
+            "serve.requests",
+            f"serve.status.{status // 100}xx",
+            f"serve.by_status.{status}",
+            f"serve.by_route.{route}",
+        )
         self.log.write(
             "request",
             method=handler.command,

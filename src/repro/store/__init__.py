@@ -11,8 +11,10 @@ from repro.store.artifacts import (
     ArtifactEntry,
     ArtifactStore,
     StoreStats,
+    canonical_bytes,
     config_key,
     default_cache_dir,
+    snapshot_etag,
 )
 from repro.store.serialize import (
     StoredProvider,
@@ -28,8 +30,10 @@ __all__ = [
     "ArtifactEntry",
     "ArtifactStore",
     "StoreStats",
+    "canonical_bytes",
     "config_key",
     "default_cache_dir",
+    "snapshot_etag",
     "StoredProvider",
     "attach_engine_store",
     "load_or_build_world",

@@ -76,8 +76,10 @@ __all__ = [
     "ArtifactStore",
     "StoreStats",
     "ArtifactEntry",
+    "canonical_bytes",
     "config_key",
     "default_cache_dir",
+    "snapshot_etag",
 ]
 
 logger = logging.getLogger(__name__)
@@ -117,6 +119,18 @@ def _decode_json(payload: bytes) -> Any:
 
 def _verbatim(payload: bytes) -> bytes:
     return payload
+
+
+def canonical_bytes(value: Any) -> bytes:
+    """The canonical JSON encoding (sorted keys): every JSON payload the
+    store writes, and every digest and ETag taken over a document."""
+    return json.dumps(value, sort_keys=True).encode("utf-8")
+
+
+def snapshot_etag(body: bytes) -> str:
+    """Strong HTTP ETag for a body: its quoted sha256 hex, which for a
+    stored JSON payload is the checksum the store records for it."""
+    return '"%s"' % hashlib.sha256(body).hexdigest()
 
 
 def config_key(config: WorldConfig) -> str:
@@ -478,13 +492,9 @@ class ArtifactStore:
         return self._read_payload(cfg_key, name, "json", _verbatim)
 
     def put_json(self, cfg_key: str, name: str, value: Any) -> None:
-        """Persist a JSON artifact atomically.
-
-        The payload is ``json.dumps(value, sort_keys=True)``, so the
-        recorded checksum is the sha256 of the value's canonical bytes
-        (:func:`repro.ranking.snapshots.canonical_bytes`).
-        """
-        self.put_json_bytes(cfg_key, name, json.dumps(value, sort_keys=True).encode("utf-8"))
+        """Persist a JSON artifact atomically, as its
+        :func:`canonical_bytes`: the recorded checksum is their sha256."""
+        self.put_json_bytes(cfg_key, name, canonical_bytes(value))
 
     def put_json_bytes(self, cfg_key: str, name: str, payload: bytes) -> None:
         """Persist ready-made JSON bytes atomically, as they are: the
