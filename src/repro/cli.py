@@ -10,9 +10,9 @@ Command families, all dispatched through one table in :func:`main`:
   per-experiment failure isolation and a JSON run manifest.  ``--trace``
   prints a per-experiment span tree (stage timings plus store hit/miss
   counters); ``--trace-out PATH`` also writes Chrome trace-event JSON.
-* ``repro bench [--quick]`` — write the canonical ``BENCH_<yyyymmdd>.json``
-  performance baseline: per-stage wall times, cache-cold vs cache-warm
-  timings, and requests-simulated/sec per experiment.
+  Every world, traffic and CDN stage, provider list build, analysis and
+  store read or write is a named span; ``python -m e2ebench`` is the
+  benchmark.
 * ``repro cache stats|ls|clear`` — inspect or empty the artifact store
   (``ls --quarantined`` lists blobs that failed checksum verification).
 * ``repro export <provider> <path>`` — write a simulated list as a
@@ -79,7 +79,6 @@ Examples::
     repro fig2 --trace              # top lists vs Cloudflare, with spans
     repro all --jobs 4              # the whole paper, in parallel
     repro table1 --sites 40000      # coverage table, larger scale
-    repro bench --quick --jobs 2    # CI-scale performance baseline
     repro cache stats               # what the artifact store holds
     repro export umbrella /tmp/umbrella.csv --limit 1000
     repro recommend --need-ranks --magnitude 10K
@@ -474,7 +473,7 @@ def _run_experiments(argv: List[str]) -> int:
             tags = ",".join(spec.tags)
             line = f"  {spec.id:10s} {spec.summary}"
             print(line + (f"  [{tags}]" if tags else ""))
-        print("\nother commands: bench, export, recommend, ranking, validate, "
+        print("\nother commands: export, recommend, ranking, validate, "
               "summary, cache, verify-goldens, verify-invariants, chaos, "
               "serve, loadgen, netproxy, chaos-net, chaos-data")
         return EXIT_OK
@@ -483,7 +482,7 @@ def _run_experiments(argv: List[str]) -> int:
     unknown = [name for name in names if name not in SPECS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"choose from: {', '.join(SPECS)}, all, list, bench, export, "
+        print(f"choose from: {', '.join(SPECS)}, all, list, export, "
               "recommend", file=sys.stderr)
         return EXIT_USAGE
 
@@ -575,59 +574,6 @@ def _run_experiments(argv: List[str]) -> int:
         print(f"[interrupted — resume with: repro all --resume {manifest_file}]",
               file=sys.stderr)
     return EXIT_FAILURE if manifest.failures else EXIT_OK
-
-
-def _run_bench(argv: List[str]) -> int:
-    from repro.obs.bench import QUICK_CONFIG, bench_path, run_bench, write_bench
-
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Write the canonical BENCH_<yyyymmdd>.json performance "
-                    "baseline: cold/warm wall times, per-stage breakdowns, "
-                    "requests simulated per second.",
-        parents=[_world_parent(BENCH_CONFIG)],
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help=f"bench at golden scale ({QUICK_CONFIG.n_sites} sites, "
-             f"{QUICK_CONFIG.n_days} days) — the CI smoke configuration",
-    )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default 1)")
-    parser.add_argument("--experiment", action="append", default=[],
-                        metavar="NAME",
-                        help="bench only this experiment (repeatable; "
-                             "default: the whole registry)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="output path (default: ./BENCH_<yyyymmdd>.json)")
-    args = parser.parse_args(argv)
-
-    names = args.experiment or None
-    unknown = [name for name in (names or []) if name not in SPECS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        return EXIT_USAGE
-    base = QUICK_CONFIG if args.quick else BENCH_CONFIG
-    config = WorldConfig.from_args(args, base=base)
-    jobs = max(1, args.jobs)
-    print(f"[bench: {config.n_sites} sites, {config.n_days} days, seed "
-          f"{config.seed}; jobs {jobs}; cold + warm passes]\n")
-    payload = run_bench(config, names=names, jobs=jobs, quick=args.quick)
-    target = write_bench(payload, args.out if args.out else bench_path())
-
-    experiments: Dict[str, Dict[str, object]] = payload["experiments"]  # type: ignore[assignment]
-    for name, row in experiments.items():
-        mark = "ok " if row["ok"] else "FAIL"
-        print(f"[{mark}] {name:10s} cold {row['cold_seconds']:7.2f}s  "
-              f"warm {row['warm_seconds']:7.2f}s  "
-              f"{row['requests_per_sec']:,.0f} req/s")
-    totals: Dict[str, object] = payload["totals"]  # type: ignore[assignment]
-    print(f"\ntotal: cold {totals['cold_seconds']:.2f}s, "
-          f"warm {totals['warm_seconds']:.2f}s "
-          f"(store hits cold {totals['cold_store_hits']}, "
-          f"warm {totals['warm_store_hits']})")
-    print(f"[bench: {target}]")
-    return EXIT_OK if all(row["ok"] for row in experiments.values()) else EXIT_FAILURE
 
 
 def _run_verify_goldens(argv: List[str]) -> int:
@@ -1472,7 +1418,6 @@ _COMMANDS: Dict[str, Callable[[List[str]], int]] = {
     "validate": _run_validate,
     "summary": _run_summary,
     "cache": _run_cache,
-    "bench": _run_bench,
     "verify-goldens": _run_verify_goldens,
     "verify-invariants": _run_verify_invariants,
     "chaos": _run_chaos,

@@ -9,20 +9,18 @@ reports).  The CLI and the benchmark suite are thin wrappers around these.
 Experiments are registered declaratively: each runner carries an
 :class:`ExperimentSpec` (id, title, tags, required artifacts, default
 magnitudes) in the :data:`SPECS` registry, which the CLI, the parallel
-runner, the golden harness, and ``repro bench`` all iterate as the single
-source of truth.  The legacy :data:`EXPERIMENTS` dict still imports for
-one release but emits a :class:`DeprecationWarning`.
+runner, the golden harness, and the metrics service all iterate as the
+single source of truth.
 """
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.cdn.filters import ALL_COMBINATIONS, FINAL_SEVEN
 from repro.core import report
 from repro.core.bias import country_bias, intra_chrome_consistency, platform_bias
@@ -45,7 +43,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "SPECS",
-    "EXPERIMENTS",
     "register",
     "experiment",
     "run_experiment",
@@ -106,7 +103,7 @@ class ExperimentSpec:
 
 
 #: The experiment registry, in paper presentation order.  CLI, parallel
-#: runner, golden harness, and ``repro bench`` all iterate this.
+#: runner, golden harness, and the metrics service all iterate this.
 SPECS: Dict[str, ExperimentSpec] = {}
 
 
@@ -723,6 +720,8 @@ def run_experiment(name: str, ctx: ExperimentContext) -> ExperimentResult:
     :meth:`~repro.core.pipeline.ExperimentContext.artifact` choke point
     first, so construction cost lands in deterministic order (and, under
     tracing, is attributed to the first experiment that needs each stage).
+    The runner itself is traced as ``analysis/<name>``; it is looked up
+    in :data:`SPECS` at call time, so a replaced entry runs.
 
     Raises:
         KeyError: for unknown experiment ids.
@@ -730,36 +729,5 @@ def run_experiment(name: str, ctx: ExperimentContext) -> ExperimentResult:
     spec = SPECS[name]
     for artifact_name in spec.required_artifacts:
         ctx.artifact(artifact_name)
-    return spec.fn(ctx)
-
-
-class _DeprecatedExperiments(Mapping):
-    """Mapping view emulating the pre-spec ``EXPERIMENTS`` dict.
-
-    Iterates the :data:`SPECS` registry and resolves ids to their runner
-    callables; every access warns.  Scheduled for removal one release
-    after the spec registry landed.
-    """
-
-    def _warn(self) -> None:
-        warnings.warn(
-            "repro.core.experiments.EXPERIMENTS is deprecated; "
-            "use the SPECS registry (ExperimentSpec.fn) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, key: str) -> Callable[[ExperimentContext], ExperimentResult]:
-        self._warn()
-        return SPECS[key].fn
-
-    def __iter__(self):
-        self._warn()
-        return iter(SPECS)
-
-    def __len__(self) -> int:
-        return len(SPECS)
-
-
-#: Deprecated: the bare id -> callable mapping the registry replaced.
-EXPERIMENTS: Mapping = _DeprecatedExperiments()
+    with obs.span(f"analysis/{name}"):
+        return spec.fn(ctx)

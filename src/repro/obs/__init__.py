@@ -1,15 +1,11 @@
 """repro.obs — structured observability for the pipeline.
 
-Two pieces:
-
-* :mod:`repro.obs.tracer` — nested spans + counters threaded through every
-  pipeline stage (worldgen, traffic tensors, CDN metrics, provider lists,
-  store IO), zero-overhead when disabled, serializable across the process
-  pool so ``--jobs N`` runs merge into one trace.
-* :mod:`repro.obs.bench` — the ``repro bench`` perf baseline: runs the
-  experiment battery cold then warm at a pinned config and writes a
-  canonical ``BENCH_<yyyymmdd>.json`` that later optimization PRs diff
-  against.
+:mod:`repro.obs.tracer` holds nested spans + counters threaded through
+every pipeline stage (worldgen, traffic tensors, CDN metrics, provider
+list builds, analyses, store reads and writes), zero-overhead when
+disabled, serializable across the process pool so ``--jobs N`` runs
+merge into one trace.  ``repro all --trace`` / ``--trace-out`` is the
+in-program timing view; ``python -m e2ebench`` is the benchmark.
 """
 
 from repro.obs.tracer import (

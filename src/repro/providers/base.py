@@ -13,6 +13,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro import obs
 from repro.traffic.fastpath import TrafficModel
 from repro.worldgen.world import World
 
@@ -103,6 +104,9 @@ class TopListProvider(abc.ABC):
     granularity: str = Granularity.DOMAIN
     #: Whether the provider publishes a fresh list every day.
     publishes_daily: bool = True
+    #: Span prefix of a list build (``providers/alexa``, and
+    #: ``providers/alexa/monthly`` for the whole-window list).
+    span_prefix: str = "providers"
 
     def __init__(self, world: World, traffic: TrafficModel) -> None:
         self._world = world
@@ -161,18 +165,26 @@ class TopListProvider(abc.ABC):
         Monthly-cadence providers return their monthly list regardless of
         day (CrUX is fixed for the whole window, as in Figure 3's note).
         Each day's list is built at most once per instance; composites and
-        the store wrapper reuse that build.  Not thread-safe: providers
-        share one traffic model, so concurrent callers serialize.
+        the store wrapper reuse that build, and only a build is traced.
+        Not thread-safe: providers share one traffic model, so concurrent
+        callers serialize.
         """
         ranked = self._daily.get(day)
         if ranked is None:
-            ranked = self._daily[day] = _frozen(self._build_daily(day))
+            with obs.span(f"{self.span_prefix}/{self.name}"):
+                ranked = self._daily[day] = _frozen(self._build_daily(day))
         return ranked
 
     def monthly_list(self) -> RankedList:
-        """The provider's list for the whole window (built once)."""
+        """The provider's list for the whole window (built once).
+
+        Its span has its own name: a monthly build may call the daily
+        one and the other way round (CrUX), and a span nested in one of
+        its own name would be summed twice by ``stage_totals``.
+        """
         if self._monthly is None:
-            self._monthly = _frozen(self._build_monthly())
+            with obs.span(f"{self.span_prefix}/{self.name}/monthly"):
+                self._monthly = _frozen(self._build_monthly())
         return self._monthly
 
     @abc.abstractmethod

@@ -284,6 +284,18 @@ def _match(path: str) -> Tuple[Route, Dict[str, str]]:
     raise AssertionError("the unknown route matches every path")
 
 
+def _canonical_int(text: str) -> Optional[int]:
+    """``text`` as an integer when it is that integer's own spelling
+    (``str(int(text)) == text``), else None: ``05``, ``1_0``, ``+5`` and
+    non-ASCII digits name no day and no ``k``, so one representation
+    answers under one URL."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if str(value) == text else None
+
+
 class _Reject(Exception):
     """``(status, error token, detail)``: ends a request with an error
     envelope before any work, for a bad parameter or an unknown name
@@ -853,8 +865,11 @@ class MetricsService:
                     pass
 
     def count_protocol_error(self, path: str, status: int) -> None:
-        """Accounting for parse-level rejects answered by ``send_error``."""
-        self.tracer.count_root("serve.protocol_errors", f"serve.by_status.{status}")
+        """Accounting for parse-level rejects answered by ``send_error``:
+        counted in ``serve.protocol_errors`` only, so the request counts
+        (``total``, ``by_status``, ``by_route``) all cover the same
+        answered requests."""
+        self.tracer.count_root("serve.protocol_errors")
         self.log.write("request.protocol_error", path=path, status=status)
 
     def _header_limit_violation(
@@ -977,6 +992,8 @@ class MetricsService:
         integer inside the simulated window is 404, then ``k`` (default
         ``default_k``) that is not an integer >= 1 is 400; ``k`` clamps
         to ``max_k``.  A day the route's path names comes from the path.
+        A given day or ``k`` counts as an integer only in its canonical
+        spelling (:func:`_canonical_int`).
         """
         query = parse_qs(request.query)
         texts = [request.params.get(name) or query.get(name, [None])[0]
@@ -986,21 +1003,21 @@ class MetricsService:
                           + " and ".join(f"{name}=<day>" for name in days))
         values = []
         for text in texts:
-            try:
-                day = int(text)
-            except ValueError:
+            day = _canonical_int(text)
+            if day is None:
                 raise _Reject(404, "not_found",
-                              f"day must be an integer, got {text!r}") from None
+                              f"day must be an integer, got {text!r}")
             if not 0 <= day < self.config.n_days:
                 raise _Reject(
                     404, "not_found",
                     f"day {day} outside simulated window [0, {self.config.n_days})",
                 )
             values.append(day)
-        try:
-            k = int(query.get("k", [self.settings.default_k])[0])
-        except ValueError:
-            raise _Reject(400, "bad_request", "k must be an integer") from None
+        k = self.settings.default_k
+        if "k" in query:
+            k = _canonical_int(query["k"][0])
+            if k is None:
+                raise _Reject(400, "bad_request", "k must be an integer")
         if k < 1:
             raise _Reject(400, "bad_request", "k must be >= 1")
         return values, min(k, self.settings.max_k)

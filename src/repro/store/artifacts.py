@@ -265,123 +265,125 @@ class ArtifactStore:
         once, as corrupt and as a miss, and quarantined; only a decoded
         payload counts as a hit.
         """
-        path = self._path(cfg_key, name, ext)
-        started = time.perf_counter()
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            self.stats.record(self.stats.misses, name)
-            obs.count("store.misses")
-            self._notify_read(name, "miss", started)
-            return None
-        rule = faults.fire("store.read.slow", name)
-        if rule is not None:
-            # A slow dependency, not a broken one: the payload stays valid
-            # but the read-path observer sees the elapsed time balloon.
-            logger.warning("injected store.read.slow on %s", name)
-            time.sleep(rule.delay_seconds if rule.delay_seconds is not None else 0.25)
-        if faults.fire("store.read.corrupt", name) is not None:
-            logger.warning("injected store.read.corrupt on %s", name)
-            blob = faults.corrupt(blob)
-        newline = blob.find(b"\n")
-        header = blob[:newline] if newline >= 0 else b""
-        payload = blob[newline + 1 :] if newline >= 0 else b""
-        expected = (
-            header[len(_HEADER_PREFIX) :].decode("ascii", "replace")
-            if header.startswith(_HEADER_PREFIX)
-            else None
-        )
-        # The payload slice is a copy: drop the raw blob before decoding,
-        # or peak memory grows by one artifact's size.
-        del blob
-        value = None
-        readable = expected is not None and hashlib.sha256(payload).hexdigest() == expected
-        if not readable:
-            logger.warning("quarantining corrupt artifact %s", path)
-        else:
+        with obs.span("store/read"):
+            path = self._path(cfg_key, name, ext)
+            started = time.perf_counter()
             try:
-                value = decode(payload)
-            except ValueError:
-                readable = False
-                logger.warning("quarantining unreadable %s artifact %s", ext, path)
-        if not readable:
-            self.stats.corrupt += 1
-            self.stats.record(self.stats.misses, name)
-            obs.count("store.misses")
-            self._quarantine(path)
-            self._notify_read(name, "corrupt", started)
-            return None
-        try:
-            os.utime(path)  # refresh LRU position
-        except OSError:
-            pass
-        self.stats.record(self.stats.hits, name)
-        self.stats.bytes_read += len(payload)
-        obs.count("store.hits")
-        obs.count("store.bytes_read", len(payload))
-        self._notify_read(name, "hit", started)
-        return value, expected
+                blob = path.read_bytes()
+            except OSError:
+                self.stats.record(self.stats.misses, name)
+                obs.count("store.misses")
+                self._notify_read(name, "miss", started)
+                return None
+            rule = faults.fire("store.read.slow", name)
+            if rule is not None:
+                # A slow dependency, not a broken one: the payload stays valid
+                # but the read-path observer sees the elapsed time balloon.
+                logger.warning("injected store.read.slow on %s", name)
+                time.sleep(rule.delay_seconds if rule.delay_seconds is not None else 0.25)
+            if faults.fire("store.read.corrupt", name) is not None:
+                logger.warning("injected store.read.corrupt on %s", name)
+                blob = faults.corrupt(blob)
+            newline = blob.find(b"\n")
+            header = blob[:newline] if newline >= 0 else b""
+            payload = blob[newline + 1 :] if newline >= 0 else b""
+            expected = (
+                header[len(_HEADER_PREFIX) :].decode("ascii", "replace")
+                if header.startswith(_HEADER_PREFIX)
+                else None
+            )
+            # The payload slice is a copy: drop the raw blob before decoding,
+            # or peak memory grows by one artifact's size.
+            del blob
+            value = None
+            readable = expected is not None and hashlib.sha256(payload).hexdigest() == expected
+            if not readable:
+                logger.warning("quarantining corrupt artifact %s", path)
+            else:
+                try:
+                    value = decode(payload)
+                except ValueError:
+                    readable = False
+                    logger.warning("quarantining unreadable %s artifact %s", ext, path)
+            if not readable:
+                self.stats.corrupt += 1
+                self.stats.record(self.stats.misses, name)
+                obs.count("store.misses")
+                self._quarantine(path)
+                self._notify_read(name, "corrupt", started)
+                return None
+            try:
+                os.utime(path)  # refresh LRU position
+            except OSError:
+                pass
+            self.stats.record(self.stats.hits, name)
+            self.stats.bytes_read += len(payload)
+            obs.count("store.hits")
+            obs.count("store.bytes_read", len(payload))
+            self._notify_read(name, "hit", started)
+            return value, expected
 
     def _write_payload(self, cfg_key: str, name: str, ext: str, payload: bytes) -> None:
-        if self._read_only:
-            self.stats.writes_skipped += 1
-            obs.count("store.writes_skipped")
-            return
-        path = self._path(cfg_key, name, ext)
-        digest = hashlib.sha256(payload).hexdigest()
-        header = _HEADER_PREFIX + digest.encode("ascii") + b"\n"
-        tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
-        body = payload
-        try:
-            if faults.fire("store.write.enospc", name) is not None:
-                logger.warning("injected store.write.enospc on %s", name)
-                raise OSError(errno.ENOSPC, "injected disk-full (store.write.enospc)")
-            if faults.fire("store.write.partial", name) is not None:
-                # Torn-but-published write: full-payload checksum over a
-                # truncated body, caught by the next checksummed read.
-                logger.warning("injected store.write.partial on %s", name)
-                body = payload[: len(payload) // 2]
-            path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as handle:
-                handle.write(header)
-                handle.write(body)
-                handle.flush()
-                os.fsync(handle.fileno())
-            with self._tally_lock:
-                # The replaced size is read under the lock with the rename,
-                # so threads overwriting one name cannot both subtract it.
-                try:
-                    replaced = os.stat(path).st_size
-                except OSError:
-                    replaced = 0
-                os.replace(tmp, path)
-                over_cap = self._tally_published(len(header) + len(body) - replaced)
-            # The rename itself lives in the directory; without fsyncing it
-            # a crash can resurrect the old entry or lose the new one, and
-            # a concurrent reader on a journaled-metadata filesystem may
-            # briefly see neither.  Data fsync above + dir fsync here makes
-            # publish atomic *and* durable.
-            self._fsync_dir(path.parent)
-        except OSError as error:
-            self._unlink(tmp)
-            self.stats.write_errors += 1
-            if getattr(error, "errno", None) in _READ_ONLY_ERRNOS:
-                self._read_only = True
-                if not self._warned_read_only:
-                    self._warned_read_only = True
-                    logger.warning(
-                        "store %s degraded to read-only (%s); artifacts will "
-                        "be recomputed instead of persisted", self.root, error,
-                    )
-            else:
-                logger.warning("failed to write artifact %s", path, exc_info=True)
-            return
-        self.stats.record(self.stats.puts, name)
-        self.stats.bytes_written += len(body)
-        obs.count("store.puts")
-        obs.count("store.bytes_written", len(body))
-        if over_cap:
-            self._evict_over_cap(keep=path)
+        with obs.span("store/write"):
+            if self._read_only:
+                self.stats.writes_skipped += 1
+                obs.count("store.writes_skipped")
+                return
+            path = self._path(cfg_key, name, ext)
+            digest = hashlib.sha256(payload).hexdigest()
+            header = _HEADER_PREFIX + digest.encode("ascii") + b"\n"
+            tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}")
+            body = payload
+            try:
+                if faults.fire("store.write.enospc", name) is not None:
+                    logger.warning("injected store.write.enospc on %s", name)
+                    raise OSError(errno.ENOSPC, "injected disk-full (store.write.enospc)")
+                if faults.fire("store.write.partial", name) is not None:
+                    # Torn-but-published write: full-payload checksum over a
+                    # truncated body, caught by the next checksummed read.
+                    logger.warning("injected store.write.partial on %s", name)
+                    body = payload[: len(payload) // 2]
+                path.parent.mkdir(parents=True, exist_ok=True)
+                with open(tmp, "wb") as handle:
+                    handle.write(header)
+                    handle.write(body)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                with self._tally_lock:
+                    # The replaced size is read under the lock with the rename,
+                    # so threads overwriting one name cannot both subtract it.
+                    try:
+                        replaced = os.stat(path).st_size
+                    except OSError:
+                        replaced = 0
+                    os.replace(tmp, path)
+                    over_cap = self._tally_published(len(header) + len(body) - replaced)
+                # The rename itself lives in the directory; without fsyncing it
+                # a crash can resurrect the old entry or lose the new one, and
+                # a concurrent reader on a journaled-metadata filesystem may
+                # briefly see neither.  Data fsync above + dir fsync here makes
+                # publish atomic *and* durable.
+                self._fsync_dir(path.parent)
+            except OSError as error:
+                self._unlink(tmp)
+                self.stats.write_errors += 1
+                if getattr(error, "errno", None) in _READ_ONLY_ERRNOS:
+                    self._read_only = True
+                    if not self._warned_read_only:
+                        self._warned_read_only = True
+                        logger.warning(
+                            "store %s degraded to read-only (%s); artifacts will "
+                            "be recomputed instead of persisted", self.root, error,
+                        )
+                else:
+                    logger.warning("failed to write artifact %s", path, exc_info=True)
+                return
+            self.stats.record(self.stats.puts, name)
+            self.stats.bytes_written += len(body)
+            obs.count("store.puts")
+            obs.count("store.bytes_written", len(body))
+            if over_cap:
+                self._evict_over_cap(keep=path)
 
     @staticmethod
     def _unlink(path: Path) -> None:

@@ -110,8 +110,11 @@ class StoredProvider(TopListProvider):
     store makes that once per *cache lifetime*.  Wrapping happens at the
     registry boundary, so composite providers (Tranco, Trexa) still consume
     their components in-process on a cold build, sharing the builds this
-    wrapper persists.
+    wrapper persists.  Its builds trace as ``stored/<name>``: a store
+    read, or on a miss the inner ``providers/<name>`` build and a write.
     """
+
+    span_prefix = "stored"
 
     def __init__(self, inner: TopListProvider, store: ArtifactStore, cfg_key: str) -> None:
         super().__init__(inner.world, inner.traffic)

@@ -92,14 +92,6 @@ class TestExperiments:
             unknown = set(spec.required_artifacts) - set(ARTIFACT_NAMES)
             assert not unknown, f"{name} requires unknown artifacts {unknown}"
 
-    def test_deprecated_experiments_shim(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.core.experiments import EXPERIMENTS
-
-            fns = dict(EXPERIMENTS)
-        assert set(fns) == set(SPECS)
-        assert all(fns[name] is SPECS[name].fn for name in SPECS)
-
     def test_unknown_experiment(self, ctx):
         with pytest.raises(KeyError):
             run_experiment("fig99", ctx)
