@@ -15,6 +15,7 @@ log line is never interleaved mid-record even under concurrent load.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from collections import deque
@@ -29,8 +30,8 @@ __all__ = ["logfmt", "parse_logfmt", "AccessLog", "MEMORY_LINES"]
 #: about 600.
 MEMORY_LINES = 4096
 
-#: Characters that force a value into double quotes.
-_NEEDS_QUOTING = (" ", '"', "=", "\n", "\t")
+#: Any character that forces a value into double quotes.
+_NEEDS_QUOTING = re.compile(r'[ "=\n\t]')
 
 
 def _format_value(value: object) -> str:
@@ -42,7 +43,7 @@ def _format_value(value: object) -> str:
         text = "-"
     else:
         text = str(value)
-    if text == "" or any(ch in text for ch in _NEEDS_QUOTING):
+    if text == "" or _NEEDS_QUOTING.search(text):
         escaped = text.replace("\\", "\\\\").replace('"', '\\"')
         escaped = escaped.replace("\n", "\\n").replace("\t", "\\t")
         return f'"{escaped}"'

@@ -78,7 +78,13 @@ Hardening, in one place per concern:
   on every response, so keep-alive clients (the loadgen connection
   pool) reuse sockets across requests; idle connections are reaped
   after a handler timeout, and responses sent while draining carry
-  ``Connection: close`` so clients retire them promptly.
+  ``Connection: close`` so clients retire them promptly.  Each request
+  is one pass: :func:`_read_head` reads the head under the stdlib's caps
+  (431 past :data:`MAX_HEADER_LINE` bytes on a line or
+  :data:`MAX_HEAD_LINES` lines) without the email parser, a malformed
+  header line or a CR or NUL in a value answers 400 and closes, and
+  every response, protocol errors included, is rendered as one bytes
+  object and written with one ``wfile.write``.
 
 Observability: every request and lifecycle transition is one logfmt
 record in the :class:`~repro.serve.logfmt.AccessLog`, and every service
@@ -89,6 +95,7 @@ root-span counters; ``/metricz`` is built from one snapshot of them.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import re
@@ -97,6 +104,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -154,6 +162,58 @@ _ResponseKey = Tuple[object, ...]
 #: ``source`` naming which path produced it.
 _Answer = Tuple[int, bytes, Dict[str, str], str]
 
+#: Bytes on one request-head line, and lines in one head counting the
+#: blank line that ends it: the stdlib's own caps (``http.client``'s
+#: ``_MAXLINE`` and ``_MAXHEADERS``), each answered 431 as it answers them.
+MAX_HEADER_LINE = 65536
+MAX_HEAD_LINES = 100
+
+#: One header line: a name of printable ASCII but the colon (the email
+#: parser's own class), the colon, optional SP/HT, a value with no CR, LF
+#: or NUL (RFC 9110 §5.5), then the line ending, CRLF or a bare LF.
+_FIELD_LINE = re.compile(r"([\x21-\x39\x3b-\x7e]+):[ \t]*([^\r\n\x00]*)(?:\r?\n)?")
+
+#: The request line's version word; of the latin-1 characters that
+#: ``str.isdigit`` accepts, the stdlib's ``int()`` takes only 0-9.
+_HTTP_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+
+class _BadHead(Exception):
+    """``(status, reason)``: the request head broke a cap (431) or a
+    parsing rule (400)."""
+
+
+def _read_head(rfile) -> http.client.HTTPMessage:  # noqa: ANN001
+    """The header lines after a request line, as the ``HTTPMessage``
+    ``http.client.parse_headers`` builds, without its email parser.
+
+    The head is read whole first, under :data:`MAX_HEADER_LINE` and
+    :data:`MAX_HEAD_LINES`, so the caps answer as they did.  Then every
+    line must be one header field: a value loses leading SP/HT and its
+    line ending, as compat32's ``header_source_parse`` has it.  A line
+    with no colon or a bad name, a continuation line (obs-fold), and a CR
+    or NUL inside a value raise :class:`_BadHead` 400; the email parser
+    took such a line as the start of a body and dropped it and every
+    line after it.
+    """
+    lines = []
+    while True:
+        line = rfile.readline(MAX_HEADER_LINE + 1)
+        if len(line) > MAX_HEADER_LINE:
+            raise _BadHead(431, "Line too long")
+        lines.append(line)
+        if len(lines) > MAX_HEAD_LINES:
+            raise _BadHead(431, "Too many headers")
+        if line in (b"\r\n", b"\n", b""):
+            break
+    message = http.client.HTTPMessage()
+    for number, line in enumerate(lines[:-1], 1):
+        field = _FIELD_LINE.fullmatch(line.decode("latin-1"))
+        if field is None:
+            raise _BadHead(400, f"Malformed header line {number}")
+        message.set_raw(*field.groups())
+    return message
+
 
 def dynamic_retry_after(
     base_seconds: int,
@@ -209,7 +269,7 @@ class ServeSettings:
         max_header_count: request header lines accepted before the
           service answers 431 in the canonical error envelope.
         max_header_bytes: total request header bytes accepted before a
-          431 (the per-line cap is the stdlib's 64 KiB).
+          431 (the per-line cap is :data:`MAX_HEADER_LINE`).
     """
 
     host: str = "127.0.0.1"
@@ -359,41 +419,95 @@ class _RequestHandler(BaseHTTPRequestHandler):
             # traceback from handle_error.
             self.close_connection = True
 
-    def send_error(self, code, message=None, explain=None):  # noqa: ANN001
-        """Protocol-level failures answer in the canonical envelope.
+    def parse_request(self) -> bool:
+        """The stdlib's request-line rules (Python 3.11), then
+        :func:`_read_head` in place of ``http.client.parse_headers``.
 
-        The stdlib parser calls this *before* ``do_GET`` for oversized
-        request lines (414), header floods past its own limits (431),
-        bad syntax (400), and unsupported methods (501) — by default
-        with an HTML error page, which would be the one non-envelope
-        error shape in the service.
+        ``handle_one_request`` has read the request line (414 past 64
+        KiB) and answers 501 for a method with no ``do_*``.  Here: a bad
+        version is 400, HTTP/2 or later 505, a two-word line HTTP/0.9
+        (GET only, then close), a leading ``//`` collapses to ``/``, and
+        ``Connection`` and ``Expect: 100-continue`` act as in the
+        stdlib (whose ``protocol_version`` checks always pass here).
+        Returns False once an error is answered.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _HTTP_VERSION.fullmatch(version)
+            if number is None:
+                self.send_error(400, "Bad request version (%r)" % version)
+                return False
+            major, minor = int(number[1]), int(number[2])
+            if (major, minor) >= (1, 1):
+                self.close_connection = False
+            if major >= 2:
+                self.send_error(505, "Invalid HTTP version (%s)" % version[5:])
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, "Bad request syntax (%r)" % requestline)
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, "Bad HTTP/0.9 request type (%r)" % command)
+                return False
+        self.command, self.path = command, path
+        if path.startswith("//"):
+            # A leading // would read as a scheme-relative URI (gh-87389).
+            self.path = "/" + path.lstrip("/")
+        try:
+            self.headers = _read_head(self.rfile)
+        except _BadHead as bad:
+            self.send_error(*bad.args)
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (self.headers.get("Expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            return self.handle_expect_100()
+        return True
+
+    def send_error(self, code, message=None, explain=None):  # noqa: ANN001
+        """Protocol-level failures answer in the canonical envelope,
+        through the service's one response writer.
+
+        The stdlib calls this *before* ``do_GET`` for oversized request
+        lines (414) and unsupported methods (501), and
+        :meth:`parse_request` for bad syntax or a malformed header line
+        (400), a version past HTTP/1 (505) and a head past its caps
+        (431) — by default with an HTML error page, which would be the
+        one non-envelope error shape in the service.
         """
         status = int(code)
         token = "bad_request" if status < 500 else "internal"
         if status == 431:
             token = "headers_too_large"
         body = _error_body(token, str(message or explain or code))
-        service = getattr(self.server, "service", None)
-        if service is not None:
-            service.count_protocol_error(getattr(self, "path", "?"), status)
+        service = self.server.service  # type: ignore[attr-defined]
+        service.count_protocol_error(getattr(self, "path", "?"), status)
         self.close_connection = True
         if self.request_version == "HTTP/0.9":
-            # The request line never parsed, so the stdlib still holds
-            # its 0.9 default — under which send_response_only and
-            # send_header write *nothing* and the peer would get a bare
-            # body with no framing.  Answer as framed HTTP/1.1 instead.
+            # The request line never parsed (or named HTTP/0.9), and a
+            # 0.9 answer is a bare body with no framing.  Answer as
+            # framed HTTP/1.1 instead.
             self.request_version = "HTTP/1.1"
         try:
-            self.send_response_only(status)
-            self.send_header("Server", self.version_string())
-            self.send_header("Date", self.date_time_string())
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("Connection", "close")
-            self.end_headers()
-            if getattr(self, "command", "GET") != "HEAD":
-                self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError, OSError):
+            service._respond(self, status, body, {"Connection": "close"},
+                             head_only=self.command == "HEAD")
+        except OSError:
             pass
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
@@ -405,6 +519,20 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def do_HEAD(self) -> None:  # noqa: N802
         self.server.service.handle(self, head_only=True)  # type: ignore[attr-defined]
+
+
+#: The status line of every status the stdlib names, as its
+#: ``send_response_only`` writes it.
+_STATUS_LINES: Dict[int, bytes] = {
+    int(code): f"{_RequestHandler.protocol_version} {int(code)} {phrase}\r\n"
+    .encode("latin-1")
+    for code, (phrase, _explain) in BaseHTTPRequestHandler.responses.items()
+}
+
+#: The fields every response carries before and after ``Date``.
+_SERVER_LINE = (f"Server: {_RequestHandler.server_version} "
+                f"{_RequestHandler.sys_version}\r\n").encode("latin-1")
+_CONTENT_TYPE_LINE = b"Content-Type: application/json\r\n"
 
 
 class MetricsService:
@@ -487,6 +615,8 @@ class MetricsService:
         # The experiments index: fixed once warmup ends, and re-rendered
         # there (until then every experiment reads "missing").
         self._index = self._render_index()
+        # (unix second, its ``Date`` line), refreshed by _date_line.
+        self._date: Tuple[int, bytes] = (0, b"")
         self._draining = False
         self._started_at = time.time()
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -877,10 +1007,10 @@ class MetricsService:
     ) -> Optional[Tuple[int, str, str]]:
         """Service-level header limits (stricter than the stdlib's).
 
-        Returns ``(status, error token, detail)`` or None.  The stdlib
-        parser enforces its own looser caps (100 lines, 64 KiB each)
-        and answers through ``send_error``; these bounds are the ones
-        operators tune.
+        Returns ``(status, error token, detail)`` or None.  The head
+        reader enforces the stdlib's looser caps (:data:`MAX_HEAD_LINES`
+        lines, :data:`MAX_HEADER_LINE` bytes each) and answers through
+        ``send_error``; these bounds are the ones operators tune.
         """
         headers = handler.headers
         count = len(headers.keys())
@@ -1499,6 +1629,17 @@ class MetricsService:
         body = _error_body(error, detail, retry_after=seconds)
         return body, {"Retry-After": str(seconds)}
 
+    def _date_line(self) -> bytes:
+        """The ``Date`` field line, formatted once per second."""
+        now = int(time.time())
+        second, line = self._date
+        if second != now:
+            line = b"Date: %s\r\n" % formatdate(now, usegmt=True).encode("ascii")
+            # Handler threads share it; a racing refresh stores the
+            # line of its own second, which the next caller rechecks.
+            self._date = (now, line)
+        return line
+
     def _respond(
         self,
         handler: _RequestHandler,
@@ -1507,17 +1648,29 @@ class MetricsService:
         headers: Dict[str, str],
         head_only: bool,
     ) -> None:
-        handler.send_response(status)
-        handler.send_header("Content-Type", "application/json")
-        handler.send_header("Content-Length", str(len(body)))
-        for key, value in headers.items():
-            handler.send_header(key, value)
+        """The one response writer: the status line, ``Server``,
+        ``Date``, ``Content-Type``, ``Content-Length``, ``headers`` in
+        order, ``Connection: close`` while draining, then the body unless
+        ``head_only``, as one ``wfile.write``.  An HTTP/0.9 request gets
+        the bare body.  A ``Connection`` field sent sets the handler's
+        keep-alive state, as ``send_header`` does."""
         if self._draining and "Connection" not in headers:
-            handler.send_header("Connection", "close")
+            headers = {**headers, "Connection": "close"}
+        connection = headers.get("Connection", "").lower()
+        if connection == "close":
             handler.close_connection = True
-        handler.end_headers()
-        if not head_only:
-            handler.wfile.write(body)
+        elif connection == "keep-alive":
+            handler.close_connection = False
+        payload = b"" if head_only else body
+        if handler.request_version != "HTTP/0.9":
+            fields = "".join([f"{name}: {value}\r\n"
+                              for name, value in headers.items()])
+            payload = b"".join((
+                _STATUS_LINES[status], _SERVER_LINE, self._date_line(),
+                _CONTENT_TYPE_LINE, b"Content-Length: %d\r\n" % len(body),
+                fields.encode("latin-1"), b"\r\n", payload,
+            ))
+        handler.wfile.write(payload)
 
     def _account(
         self,

@@ -6,7 +6,10 @@ Contracts:
 * requests past the service's header count/size limits answer 431 in
   the canonical envelope (token ``headers_too_large``) and close;
 * stdlib parse-level rejects (bad request line, oversized request
-  line) also answer in the envelope — never the stdlib HTML page;
+  line) also answer in the envelope — never the stdlib HTML page — and
+  every stdlib path keeps its status line, field order and body;
+* a malformed header line answers 400 and closes, counted once as a
+  protocol error;
 * a client vanishing mid-response is a ``client_gone`` outcome in
   ``/metricz``, not breaker food and not a handler error;
 * a connection that outlives ``connection_lifetime_seconds`` is
@@ -93,20 +96,22 @@ def service(served_cache, tiny_registry):
         svc.drain()
 
 
-def _raw_exchange(svc, payload: bytes, timeout: float = 3.0) -> bytes:
+def _raw_exchange(svc, payload: bytes, timeout: float = 5.0) -> bytes:
+    """Every byte the service sends for ``payload`` before it closes the
+    connection; one it leaves open fails on the timeout.  A reset after
+    the answer (the service closed with request bytes unread) is a close
+    too."""
     with socket.create_connection((svc.host, svc.port), timeout=timeout) as conn:
-        conn.settimeout(timeout)
         conn.sendall(payload)
         data = b""
         while True:
             try:
                 chunk = conn.recv(65536)
-            except socket.timeout:
-                break
+            except ConnectionResetError:
+                return data
             if not chunk:
-                break
+                return data
             data += chunk
-        return data
 
 
 def _parse(raw: bytes):
@@ -187,19 +192,126 @@ class TestProtocolErrors:
         assert metrics["requests"]["protocol_errors"] >= 1
 
 
+def _responses(raw: bytes, head_only: bool = False):
+    """``[(status line, field names)]`` of each response head in ``raw``
+    (an interim 100 first), and every byte after the last head: the
+    last body, which must frame by its ``Content-Length`` unless
+    ``head_only``, or a bare HTTP/0.9 body."""
+    heads, length = [], None
+    while raw.startswith(b"HTTP/"):
+        head, _, raw = raw.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        fields = [line.split(": ", 1) for line in lines]
+        heads.append((status_line, [name for name, _value in fields]))
+        length = dict(fields).get("Content-Length")
+    if length is not None and not head_only:
+        assert int(length) == len(raw), "the body does not frame"
+    return heads, raw
+
+
+#: Malformed head lines, each answered 400.  Each answered 200 while the
+#: email parser read the head: it took a line it could not parse, and
+#: every line after it, as a body, kept a NUL, and kept an obs-fold's
+#: CRLF inside the value.
+MALFORMED = [
+    # One colon-less line hid 80 lines from the 64-line limit.
+    ("colon-less line before 80 lines", "/healthz",
+     "Bad Line\r\n" + "".join(f"X-Pad-{i}: {i}\r\n" for i in range(80))),
+    # ... and an If-None-Match from the conditional-GET check.
+    ("line with no colon", "/v1/lists/alexa/1?k=5",
+     "Bad Line\r\nIf-None-Match: *\r\n"),
+    ("space before the colon", "/v1/lists/alexa/1?k=5",
+     "If-None-Match : *\r\n"),
+    ("bare CR inside a value", "/v1/lists/alexa/1?k=5",
+     "X-Note: a\rb\r\nIf-None-Match: *\r\n"),
+    ("obs-fold continuation", "/healthz",
+     "X-Note: a\r\n  b\r\n"),
+    ("NUL inside a value", "/healthz",
+     "X-Note: a\x00b\r\n"),
+]
+
+
+class TestMalformedHeaderLines:
+    @pytest.mark.parametrize("case, path, lines", MALFORMED,
+                             ids=[row[0] for row in MALFORMED])
+    def test_malformed_line_answers_400_and_closes(self, service, case,
+                                                   path, lines):
+        raw = _raw_exchange(
+            service,
+            f"GET {path} HTTP/1.1\r\nHost: t\r\n{lines}\r\n".encode("latin-1"),
+        )
+        heads, body = _responses(raw)
+        assert [status for status, _names in heads] == ["HTTP/1.1 400 Bad Request"]
+        assert heads[0][1][-1] == "Connection"
+        assert json.loads(body)["error"] == "bad_request"
+        requests = json.loads(
+            fetch(service.host, service.port, "/metricz").body
+        )["requests"]
+        assert requests["protocol_errors"] == 1
+        assert requests["total"] == 0
+
+
+_ERROR_FIELDS = ["Server", "Date", "Content-Type", "Content-Length", "Connection"]
+_OK_FIELDS = ["Server", "Date", "Content-Type", "Content-Length"]
+
+#: The stdlib's answers, as the email-parser head answered them: the
+#: request, each response's status line and field names, the last body.
+STDLIB_PATHS = [
+    ("414", b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n",
+     [("HTTP/1.1 414 Request-URI Too Long", _ERROR_FIELDS)],
+     b'{"detail": "414", "error": "bad_request"}'),
+    ("431 line too long",
+     b"GET /healthz HTTP/1.1\r\nX-Big: " + b"x" * 70000 + b"\r\n\r\n",
+     [("HTTP/1.1 431 Request Header Fields Too Large", _ERROR_FIELDS)],
+     b'{"detail": "Line too long", "error": "headers_too_large"}'),
+    ("431 past 100 lines",
+     b"GET /healthz HTTP/1.1\r\n"
+     + b"".join(b"X-Pad-%d: %d\r\n" % (i, i) for i in range(100)) + b"\r\n",
+     [("HTTP/1.1 431 Request Header Fields Too Large", _ERROR_FIELDS)],
+     b'{"detail": "Too many headers", "error": "headers_too_large"}'),
+    ("400 bad version", b"GET / HTTP/1.x\r\n\r\n",
+     [("HTTP/1.1 400 Bad Request", _ERROR_FIELDS)],
+     b'{"detail": "Bad request version (\'HTTP/1.x\')", "error": "bad_request"}'),
+    ("505", b"GET / HTTP/2.0\r\n\r\n",
+     [("HTTP/1.1 505 HTTP Version Not Supported", _ERROR_FIELDS)],
+     b'{"detail": "Invalid HTTP version (2.0)", "error": "internal"}'),
+    ("501", b"POST / HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+     [("HTTP/1.1 501 Not Implemented", _ERROR_FIELDS)],
+     b'{"detail": "Unsupported method (\'POST\')", "error": "internal"}'),
+    ("HTTP/0.9", b"GET /healthz\r\n\r\n", [], b'{"status": "alive"}'),
+    ("HTTP/1.0", b"GET /healthz HTTP/1.0\r\n\r\n",
+     [("HTTP/1.1 200 OK", _OK_FIELDS)], b'{"status": "alive"}'),
+    ("Expect: 100-continue",
+     b"GET //healthz HTTP/1.1\r\nExpect: 100-continue\r\nConnection: close\r\n\r\n",
+     [("HTTP/1.1 100 Continue", []), ("HTTP/1.1 200 OK", _OK_FIELDS)],
+     b'{"status": "alive"}'),
+    ("HEAD", b"HEAD /v1/experiments/hd1 HTTP/1.1\r\nConnection: close\r\n\r\n",
+     [("HTTP/1.1 200 OK", _OK_FIELDS + ["X-Repro-Source", "ETag"])], b""),
+]
+
+
+class TestStdlibPaths:
+    @pytest.mark.parametrize("case, request_bytes, heads, body", STDLIB_PATHS,
+                             ids=[row[0] for row in STDLIB_PATHS])
+    def test_answer_bytes(self, service, case, request_bytes, heads, body):
+        raw = _raw_exchange(service, request_bytes)
+        assert _responses(raw, head_only=case == "HEAD") == (heads, body)
+
+
 class TestClientGone:
     def test_broken_pipe_mid_response_counts_client_gone(self, service):
+        class _GoneWriter:
+            def write(self, data):
+                raise BrokenPipeError("client went away")
+
         class _GoneHandler:
             path = "/v1/experiments/hd1"
             headers = {}
             command = "GET"
             close_connection = False
             request_version = "HTTP/1.1"
-
-            def send_response(self, *a, **k):
-                raise BrokenPipeError("client went away")
-
-            send_response_only = send_response
+            # The response is one write; the client is gone by then.
+            wfile = _GoneWriter()
 
         service.handle(_GoneHandler())  # must not raise
         metrics = json.loads(
